@@ -290,29 +290,22 @@ StarJoinResult JoinProject::Star(
     case Strategy::kNonMmJoin:
       return NonMmStarJoin(rels, so);
     case Strategy::kWcojFull: {
+      // The reference baseline enumerates the whole join first; sinks get
+      // the dedup'd tuples afterwards (no early production exit here).
       StarJoinResult res;
       WallTimer timer;
+      const int threads = std::max(1, opts.threads);
+      PartitionedTuples parts(threads, StarColumnBounds(rels));
+      if (opts.sink != nullptr) opts.sink->Open(threads);
       {
         TraceRecorder::Scope wcoj_scope(opts.trace, "wcoj-full",
                                         opts.trace_parent);
-        res.tuples = WcojStarJoin(rels, opts.threads);
+        StarJoinEnumerate(rels, nullptr, nullptr, threads, &parts);
+        res.tuples =
+            DedupStarTuples(&parts, opts.sink, opts.cancel, &res.interrupted);
       }
       res.light_seconds = timer.Seconds();
-      // The reference baseline materializes first; sinks get one
-      // post-evaluation stream (no early production exit on this path).
-      if (opts.sink != nullptr) {
-        opts.sink->Open(1);
-        ResultSink::Shard& shard = opts.sink->shard(0);
-        for (size_t i = 0; i < res.tuples.size(); ++i) {
-          if (opts.sink->done()) break;
-          if (opts.cancel != nullptr && opts.cancel->Fired()) {
-            res.interrupted = true;
-            break;
-          }
-          shard.OnTuple(res.tuples.Get(i));
-        }
-        opts.sink->Finish();
-      }
+      if (opts.sink != nullptr) opts.sink->Finish();
       return res;
     }
     case Strategy::kAuto:

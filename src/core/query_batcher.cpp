@@ -373,11 +373,11 @@ bool ResultCache::Replay(const BatchKey& key, ResultSink& sink,
       sh.OnCountedPairs(std::span<const CountedPair>(e->counted.data() + i, n));
     }
     if (e->tuple_arity > 0) {
-      const size_t stride = e->tuple_arity;
-      size_t emitted = 0;
-      for (size_t i = 0; i + stride <= e->tuple_data.size(); i += stride) {
-        sh.OnTuple(std::span<const Value>(e->tuple_data.data() + i, stride));
-        if (++emitted % 1024 == 0 && sink.done()) break;
+      const size_t span = kChunk * e->tuple_arity;
+      for (size_t i = 0; i < e->tuple_data.size() && !sink.done(); i += span) {
+        const size_t n = std::min(span, e->tuple_data.size() - i);
+        sh.OnTuples(std::span<const Value>(e->tuple_data.data() + i, n),
+                    e->tuple_arity);
       }
     }
     sink.Finish();

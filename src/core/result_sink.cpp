@@ -12,6 +12,12 @@ void ResultSink::Shard::OnCountedPairs(std::span<const CountedPair> ps) {
   for (const CountedPair& p : ps) OnCountedPair(p);
 }
 
+void ResultSink::Shard::OnTuples(std::span<const Value> flat, uint32_t arity) {
+  for (size_t i = 0; i < flat.size(); i += arity) {
+    OnTuple(flat.subspan(i, arity));
+  }
+}
+
 // ---- VectorSink ----------------------------------------------------------
 
 VectorSink::VectorSink() = default;
@@ -34,6 +40,10 @@ struct VectorSink::VectorShard : ResultSink::Shard {
   }
   void OnCountedPairs(std::span<const CountedPair> ps) override {
     counted.insert(counted.end(), ps.begin(), ps.end());
+  }
+  void OnTuples(std::span<const Value> flat, uint32_t arity) override {
+    tuple_arity = arity;
+    tuple_data.insert(tuple_data.end(), flat.begin(), flat.end());
   }
 };
 
@@ -93,6 +103,9 @@ struct CountOnlySink::CountShard : ResultSink::Shard {
   }
   void OnCountedPairs(std::span<const CountedPair> ps) override {
     total_->fetch_add(ps.size(), std::memory_order_relaxed);
+  }
+  void OnTuples(std::span<const Value> flat, uint32_t arity) override {
+    total_->fetch_add(flat.size() / arity, std::memory_order_relaxed);
   }
 
  private:
@@ -495,15 +508,18 @@ struct FanoutSink::FanShard : ResultSink::Shard {
     if (counted_buf.size() >= kFlushAt) Flush();
   }
   void OnTuple(std::span<const Value> tuple) override {
+    OnTuples(tuple, static_cast<uint32_t>(tuple.size()));
+  }
+  void OnTuples(std::span<const Value> flat, uint32_t arity) override {
     Flush();
     uint64_t n = 0;
     for (const auto& [sink, sh] : targets) {
       if (!sink->done()) {
-        sh->OnTuple(tuple);
-        ++n;
+        sh->OnTuples(flat, arity);
+        n += flat.size() / arity;
       }
     }
-    for (Shard* sh : taps) sh->OnTuple(tuple);
+    for (Shard* sh : taps) sh->OnTuples(flat, arity);
     forwarded->fetch_add(n, std::memory_order_relaxed);
   }
   void OnPairs(std::span<const OutPair> ps) override {
@@ -602,9 +618,12 @@ struct RecordingSink::RecordShard : ResultSink::Shard {
     if (Charge(sizeof(CountedPair))) counted.push_back(p);
   }
   void OnTuple(std::span<const Value> tuple) override {
-    if (Charge(tuple.size() * sizeof(Value))) {
-      tuple_arity = static_cast<uint32_t>(tuple.size());
-      tuple_data.insert(tuple_data.end(), tuple.begin(), tuple.end());
+    OnTuples(tuple, static_cast<uint32_t>(tuple.size()));
+  }
+  void OnTuples(std::span<const Value> flat, uint32_t arity) override {
+    if (Charge(flat.size() * sizeof(Value))) {
+      tuple_arity = arity;
+      tuple_data.insert(tuple_data.end(), flat.begin(), flat.end());
     }
   }
   void OnPairs(std::span<const OutPair> ps) override {

@@ -60,6 +60,9 @@ class ResultSink {
     /// Block-granular bulk delivery; default loops the scalar hooks.
     virtual void OnPairs(std::span<const OutPair> ps);
     virtual void OnCountedPairs(std::span<const CountedPair> ps);
+    /// Star tuples in bulk: `flat` holds flat.size() / arity tuples back to
+    /// back. The default loops OnTuple.
+    virtual void OnTuples(std::span<const Value> flat, uint32_t arity);
   };
 
   virtual ~ResultSink() = default;

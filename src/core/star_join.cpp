@@ -1,8 +1,10 @@
 #include "core/star_join.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -25,21 +27,26 @@
 namespace jpmm {
 namespace {
 
-// Streaming tuple delivery for sink-driven star queries. The star
+// Streaming tuple delivery for sinks with may_finish_early(). The star
 // decomposition can produce one output tuple from several steps (a tuple
 // may have both light and heavy witnesses), so incremental delivery needs
 // a global dedup: EmitBatch sort-uniques the batch, streams the tuples
 // never seen before into the sink, and folds them into the sorted `seen`
 // union. Batches arrive from many workers; the mutex serializes them (the
-// per-batch merge is O(|seen| + |batch|), paid only for sinks that can
-// finish early — everyone else gets one post-evaluation stream).
+// per-batch merge is O(|seen| + |batch|), paid only by sinks that can
+// finish early). Every other sink gets the tuples from DedupStarTuples
+// after evaluation instead, shard w one contiguous, ascending run of
+// first-value ranges.
 struct StarEmitter {
-  ResultSink* sink = nullptr;
-  bool streaming = false;
+  ResultSink* const sink;
+  const bool streaming;
   std::mutex mu;
   TupleBuffer seen;
 
-  explicit StarEmitter(uint32_t arity) : seen(arity) {}
+  StarEmitter(ResultSink* sink_in, uint32_t arity)
+      : sink(sink_in),
+        streaming(sink_in != nullptr && sink_in->may_finish_early()),
+        seen(arity) {}
 
   void EmitBatch(TupleBuffer* batch, int worker) {
     if (batch->empty()) return;
@@ -124,85 +131,42 @@ struct StarContext {
   }
 };
 
-// Steps (1) and (2): the combinatorial light part shared by MM and Non-MM.
-//
-// Two refinements over a literal reading of §3.2, both output-preserving:
-//   - Step 2-j enumerates the *full* per-y product wherever y is light in
-//     all relations but (possibly) j, so those y values need no step-1
-//     coverage at all; step 1-j therefore only expands y values heavy in
-//     >= 2 relations. On sparse inputs (no such y) step 1 disappears and
-//     the light part degenerates to a single WCOJ pass.
-//   - A y light in *every* relation satisfies step 2's condition for every
-//     j; it is claimed by j = 0 alone to avoid k identical enumerations.
-TupleBuffer LightSteps(const StarContext& ctx, int threads, StarEmitter* em,
-                       const CancelToken* cancel, uint64_t* steps_total,
-                       uint64_t* steps_executed, uint64_t* steps_skipped,
-                       bool* interrupted) {
-  const size_t k = ctx.rels.size();
-  TupleBuffer out(static_cast<uint32_t>(k));
-
-  bool any_shared_heavy = false;
-  for (Value b = 0; b < ctx.ny && !any_shared_heavy; ++b) {
-    any_shared_heavy = ctx.heavy_cnt[b] >= 2;
-  }
-  const uint64_t steps_per_j = any_shared_heavy ? 2 : 1;
-  *steps_total = k * steps_per_j;
-
-  auto deliver = [&](TupleBuffer* part) {
-    if (em->streaming) {
-      em->EmitBatch(part, /*worker=*/0);
-    } else {
-      out.Append(*part);
-    }
-  };
-  auto cancel_fired = [&]() -> bool {
-    if (cancel != nullptr && cancel->Fired()) {
-      *interrupted = true;
-      return true;
-    }
-    return false;
-  };
-
-  for (size_t j = 0; j < k; ++j) {
-    // Cooperative early exit between light steps (a "light bucket" here is
-    // one decomposition step): once the sink is satisfied — or the cancel
-    // token fires — the remaining steps are skipped and counted.
-    if ((em->sink != nullptr && em->sink->done()) || cancel_fired()) {
-      *steps_skipped += (k - j) * steps_per_j;
-      break;
-    }
-    if (any_shared_heavy) {
-      // Step 1-j: substitute R-j (light xj tuples only), restricted to y
-      // values not already fully covered by step 2.
-      TupleBuffer part = StarJoinProjectWcoj(
-          ctx.rels,
-          [&ctx, j](size_t rel, Value a, Value) {
-            return rel != j || ctx.XiLight(j, a);
-          },
-          [&ctx](Value b) { return ctx.heavy_cnt[b] >= 2; }, threads);
-      deliver(&part);
-      ++*steps_executed;
-      // Mid-iteration token poll: a deadline can fire between step 1-j and
-      // step 2-j, not just between j iterations.
-      if (cancel_fired()) {
-        *steps_skipped += (k - j) * steps_per_j - 1;
-        break;
-      }
-    }
-
-    // Step 2-j: substitute R<>j — only y values light in all other
-    // relations.
-    TupleBuffer part2 = StarJoinProjectWcoj(
-        ctx.rels, nullptr,
-        [&ctx, j](Value b) {
-          if (ctx.heavy_cnt[b] == 0) return j == 0;
-          return ctx.LightAllExcept(j, b);
-        },
-        threads);
-    deliver(&part2);
-    ++*steps_executed;
-  }
-  return out;
+void RecordStarMetrics(const StarJoinResult& result) {
+  if (!MetricsEnabled()) return;
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  static Counter& steps_executed =
+      reg.GetCounter("jpmm_star_light_steps_executed_total");
+  static Counter& steps_skipped =
+      reg.GetCounter("jpmm_star_light_steps_skipped_total");
+  static Counter& blocks_exec =
+      reg.GetCounter("jpmm_join_heavy_blocks_executed_total");
+  static Counter& blocks_skip =
+      reg.GetCounter("jpmm_join_heavy_blocks_skipped_total");
+  static Counter& kernel_dense =
+      reg.GetCounter("jpmm_join_kernel_dense_blocks_total");
+  static Counter& kernel_csr_dense =
+      reg.GetCounter("jpmm_join_kernel_csr_dense_blocks_total");
+  static Counter& kernel_csr_csr =
+      reg.GetCounter("jpmm_join_kernel_csr_csr_blocks_total");
+  static Counter& partition_engaged =
+      reg.GetCounter("jpmm_partition_engaged_total");
+  static Counter& partition_pruned =
+      reg.GetCounter("jpmm_partition_blocks_pruned_total");
+  static Histogram& light_ms =
+      reg.GetHistogram("jpmm_join_light_pass_ms", DefaultLatencyBoundsMs());
+  static Histogram& heavy_ms =
+      reg.GetHistogram("jpmm_join_heavy_pass_ms", DefaultLatencyBoundsMs());
+  steps_executed.Add(result.light_steps_executed);
+  steps_skipped.Add(result.light_steps_skipped);
+  blocks_exec.Add(result.heavy_blocks_executed);
+  blocks_skip.Add(result.heavy_blocks_skipped);
+  kernel_dense.Add(result.kernel_counts.dense);
+  kernel_csr_dense.Add(result.kernel_counts.csr_dense);
+  kernel_csr_csr.Add(result.kernel_counts.csr_csr);
+  if (result.partition_used) partition_engaged.Add();
+  partition_pruned.Add(result.partition_blocks_pruned);
+  light_ms.Record(result.light_seconds * 1e3);
+  if (result.heavy_seconds > 0) heavy_ms.Record(result.heavy_seconds * 1e3);
 }
 
 // Approximate bytes the sparse registration of one group holds: the
@@ -331,7 +295,191 @@ HeavyGroups BuildHeavyGroups(const StarContext& ctx, uint64_t max_bytes) {
   return hg;
 }
 
+// One MmStarJoin / NonMmStarJoin execution's delivery state: where the
+// produced tuples go (the streaming emitter, or the dedup partitions for
+// every other sink), the done/cancel polls, and the heavy-block counters.
+// Both executors run the light steps and the sink-finish stage through it.
+class StarRun {
+ public:
+  StarRun(const std::vector<const IndexedRelation*>& rels,
+          const StarJoinOptions& options)
+      : options_(options),
+        threads_(std::max(1, options.threads)),
+        arity_(static_cast<uint32_t>(rels.size())),
+        em_(options.sink, arity_),
+        parts_(threads_, StarColumnBounds(rels)) {
+    if (options.sink != nullptr) options.sink->Open(threads_);
+  }
+
+  /// True once the cancel token fired; latches interrupted.
+  bool CancelFired() {
+    if (options_.cancel == nullptr || !options_.cancel->Fired()) return false;
+    interrupted_.store(true, std::memory_order_relaxed);
+    return true;
+  }
+  /// True once the sink is satisfied or the cancel token fired.
+  bool Stop() {
+    return (options_.sink != nullptr && options_.sink->done()) ||
+           CancelFired();
+  }
+
+  /// Worker w's heavy output for V row i and W row j, their combos
+  /// joined: into `block` (streamed at EndBlock) for a streaming sink, else
+  /// into w's dedup partitions.
+  void EmitCombo(int w, TupleBuffer* block, const HeavyGroups& hg, size_t i,
+                 size_t j) {
+    const size_t g1 = (arity_ + 1) / 2;
+    const size_t g2 = arity_ - g1;
+    std::array<Value, 8> tuple;
+    std::copy_n(hg.rows1_flat.data() + i * g1, g1, tuple.begin());
+    std::copy_n(hg.rows2_flat.data() + j * g2, g2, tuple.begin() + g1);
+    if (em_.streaming) {
+      block->Add({tuple.data(), arity_});
+    } else {
+      parts_.Add(w, {tuple.data(), arity_});
+    }
+  }
+  void EndBlock(int w, TupleBuffer* block) {
+    if (!em_.streaming) return;
+    em_.EmitBatch(block, w);
+    *block = TupleBuffer(arity_);
+  }
+
+  // Steps (1) and (2): the combinatorial light part shared by MM and
+  // Non-MM, timed and traced as the light pass.
+  //
+  // Two refinements over a literal reading of §3.2, both
+  // output-preserving:
+  //   - Step 2-j enumerates the *full* per-y product wherever y is light
+  //     in all relations but (possibly) j, so those y values need no
+  //     step-1 coverage at all; step 1-j therefore only expands y values
+  //     heavy in >= 2 relations. On sparse inputs (no such y) step 1
+  //     disappears and the light part degenerates to a single WCOJ pass.
+  //   - A y light in *every* relation satisfies step 2's condition for
+  //     every j; it is claimed by j = 0 alone to avoid k identical
+  //     enumerations.
+  void Light(const StarContext& ctx, StarJoinResult* result) {
+    WallTimer timer;
+    TraceRecorder::Scope scope(options_.trace, "light-pass",
+                               options_.trace_parent);
+    const size_t k = ctx.rels.size();
+    bool any_shared_heavy = false;
+    for (Value b = 0; b < ctx.ny && !any_shared_heavy; ++b) {
+      any_shared_heavy = ctx.heavy_cnt[b] >= 2;
+    }
+    const uint64_t steps_per_j = any_shared_heavy ? 2 : 1;
+    result->light_steps_total = k * steps_per_j;
+
+    // A streaming sink gets each step's dedup'd tuples as one batch;
+    // otherwise the step's raw tuples go straight into the partitions, and
+    // the final dedup covers them.
+    auto run_step = [&](const StarTupleFilter& filter,
+                        const std::function<bool(Value)>& y_filter) {
+      if (em_.streaming) {
+        TupleBuffer part =
+            StarJoinProjectWcoj(ctx.rels, filter, y_filter, threads_);
+        em_.EmitBatch(&part, /*worker=*/0);
+      } else {
+        StarJoinEnumerate(ctx.rels, filter, y_filter, threads_, &parts_);
+      }
+      ++result->light_steps_executed;
+    };
+
+    for (size_t j = 0; j < k; ++j) {
+      // Cooperative early exit between light steps (a "light bucket" here
+      // is one decomposition step): once the sink is satisfied — or the
+      // cancel token fires — the remaining steps are skipped and counted.
+      if (Stop()) {
+        result->light_steps_skipped += (k - j) * steps_per_j;
+        break;
+      }
+      if (any_shared_heavy) {
+        // Step 1-j: substitute R-j (light xj tuples only), restricted to y
+        // values not already fully covered by step 2.
+        run_step(
+            [&ctx, j](size_t rel, Value a, Value) {
+              return rel != j || ctx.XiLight(j, a);
+            },
+            [&ctx](Value b) { return ctx.heavy_cnt[b] >= 2; });
+        // Mid-iteration token poll: a deadline can fire between step 1-j
+        // and step 2-j, not just between j iterations.
+        if (CancelFired()) {
+          result->light_steps_skipped += (k - j) * steps_per_j - 1;
+          break;
+        }
+      }
+
+      // Step 2-j: substitute R<>j — only y values light in all other
+      // relations.
+      run_step(nullptr, [&ctx, j](Value b) {
+        if (ctx.heavy_cnt[b] == 0) return j == 0;
+        return ctx.LightAllExcept(j, b);
+      });
+    }
+    scope.Close();
+    result->light_seconds = timer.Seconds();
+  }
+
+  /// The sink-finish stage: a streaming emitter has delivered everything
+  /// already, any other run dedups its partitions now. Then the counters
+  /// land in `result` and in the star metrics.
+  void Finish(StarJoinResult* result) {
+    result->heavy_blocks_executed = blocks_executed.load();
+    result->heavy_blocks_skipped = blocks_skipped.load();
+    result->interrupted = interrupted_.load();
+    TraceRecorder::Scope scope(options_.trace, "sink-finish",
+                               options_.trace_parent);
+    result->tuples = em_.streaming
+                         ? std::move(em_.seen)
+                         : DedupStarTuples(&parts_, options_.sink,
+                                           options_.cancel,
+                                           &result->interrupted);
+    if (options_.sink != nullptr) options_.sink->Finish();
+    scope.Close();
+    RecordStarMetrics(*result);
+  }
+
+  std::atomic<uint64_t> blocks_executed{0};
+  std::atomic<uint64_t> blocks_skipped{0};
+
+ private:
+  const StarJoinOptions& options_;
+  const int threads_;
+  const uint32_t arity_;
+  StarEmitter em_;
+  PartitionedTuples parts_;
+  std::atomic<bool> interrupted_{false};
+};
+
 }  // namespace
+
+TupleBuffer DedupStarTuples(PartitionedTuples* parts, ResultSink* sink,
+                            const CancelToken* cancel, bool* interrupted) {
+  std::atomic<bool> fired{false};
+  auto stop = [&]() -> bool {
+    if (cancel != nullptr && cancel->Fired()) {
+      fired.store(true, std::memory_order_relaxed);
+      return true;
+    }
+    return sink != nullptr && sink->done();
+  };
+  std::function<void(int, std::span<const Value>)> deliver;
+  if (sink != nullptr) {
+    // Batches bound how far delivery runs past a fired token or a
+    // satisfied sink.
+    deliver = [&, k = parts->arity()](int w, std::span<const Value> flat) {
+      constexpr size_t kBatch = 4096;
+      ResultSink::Shard& shard = sink->shard(w);
+      for (size_t i = 0; i < flat.size() && !stop(); i += kBatch * k) {
+        shard.OnTuples(flat.subspan(i, std::min(kBatch * k, flat.size() - i)),
+                       k);
+      }
+    };
+  }
+  TupleBuffer tuples = parts->SortUnique(stop, deliver);
+  if (fired.load(std::memory_order_relaxed)) *interrupted = true;
+  return tuples;
+}
 
 TupleBuffer WcojStarJoin(const std::vector<const IndexedRelation*>& rels,
                          int threads) {
@@ -435,17 +583,13 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
   JPMM_CHECK(rels.size() >= 2);
   JPMM_CHECK_MSG(rels.size() <= 8, "combo packing supports k <= 8");
   const size_t k = rels.size();
-  const size_t g1 = (k + 1) / 2;
-  const size_t g2 = k - g1;
   const int threads = std::max(1, options.threads);
 
   Thresholds t = options.thresholds;
   t.delta1 = std::max<uint64_t>(1, t.delta1);
   t.delta2 = std::max<uint64_t>(1, t.delta2);
 
-
   StarJoinResult result;
-  result.tuples = TupleBuffer(static_cast<uint32_t>(k));
 
   // Retry with doubled thresholds until the heavy part fits: the sparse
   // registration must always fit, and the dense representations must fit
@@ -488,44 +632,17 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
   result.w_rows = hg.map2.size();
   result.heavy_y = hg.cols.size();
 
-  ResultSink* sink = options.sink;
-  if (sink != nullptr) sink->Open(threads);
-  StarEmitter em(static_cast<uint32_t>(k));
-  em.sink = sink;
-  em.streaming = sink != nullptr && sink->may_finish_early();
-  std::atomic<uint64_t> blocks_executed{0};
-  std::atomic<uint64_t> blocks_skipped{0};
-  std::atomic<bool> interrupted{false};
-  const CancelToken* cancel = options.cancel;
-  auto cancel_fired = [&]() -> bool {
-    if (cancel != nullptr && cancel->Fired()) {
-      interrupted.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
+  StarRun run(rels, options);
+  run.Light(*ctx, &result);
 
-  WallTimer light_timer;
-  bool light_interrupted = false;
-  TraceRecorder::Scope light_scope(trace, "light-pass", tparent);
-  TupleBuffer light = LightSteps(
-      *ctx, threads, &em, cancel, &result.light_steps_total,
-      &result.light_steps_executed, &result.light_steps_skipped,
-      &light_interrupted);
-  light_scope.Close();
-  if (light_interrupted) interrupted.store(true, std::memory_order_relaxed);
-  result.tuples.Append(light);
-  result.light_seconds = light_timer.Seconds();
-
-  if (result.v_rows > 0 && result.w_rows > 0 &&
-      ((sink != nullptr && sink->done()) || cancel_fired())) {
+  if (result.v_rows > 0 && result.w_rows > 0 && run.Stop()) {
     // Light steps satisfied the sink: account every planned block as
     // skipped without building the heavy operands at all. ceil(v_rows /
     // row_block) must equal PlanProductBlocks' block count so the total is
     // the same whether the heavy phase ran or not (see the mm_join.cpp
     // audit note).
     result.heavy_blocks_total = (result.v_rows + row_block - 1) / row_block;
-    blocks_skipped.store(result.heavy_blocks_total);
+    run.blocks_skipped.store(result.heavy_blocks_total);
   } else if (result.v_rows > 0 && result.w_rows > 0) {
     WallTimer heavy_timer;
     TraceRecorder::Scope heavy_scope(trace, "heavy", tparent);
@@ -568,8 +685,6 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
     // accounting (executed + skipped == total) is mode-invariant.
     const size_t num_chunks = static_cast<size_t>(blocks64);
     result.heavy_blocks_total = num_chunks;
-    std::vector<TupleBuffer> partial(static_cast<size_t>(threads),
-                                     TupleBuffer(static_cast<uint32_t>(k)));
     std::vector<std::vector<float>> bufs(static_cast<size_t>(threads));
     std::vector<CsrScratch> scratch(static_cast<size_t>(threads));
     std::vector<SparseRowBlock> sparse_blocks(static_cast<size_t>(threads));
@@ -731,23 +846,16 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
       ParallelForDynamic(threads, num_chunks, /*grain=*/1, [&](size_t c0,
                                                                size_t c1,
                                                                int w) {
-        std::vector<Value> tuple(k);
         TupleBuffer block_out(static_cast<uint32_t>(k));
-        TupleBuffer& out =
-            em.streaming ? block_out : partial[static_cast<size_t>(w)];
         auto emit = [&](size_t i, size_t j) {
-          const Value* left = hg.rows1_flat.data() + i * g1;
-          std::copy(left, left + g1, tuple.begin());
-          const Value* right = hg.rows2_flat.data() + j * g2;
-          std::copy(right, right + g2, tuple.begin() + g1);
-          out.Add(tuple);
+          run.EmitCombo(w, &block_out, hg, i, j);
         };
         for (size_t ci = c0; ci < c1; ++ci) {
-          if ((sink != nullptr && sink->done()) || cancel_fired()) {
-            blocks_skipped.fetch_add(c1 - ci, std::memory_order_relaxed);
+          if (run.Stop()) {
+            run.blocks_skipped.fetch_add(c1 - ci, std::memory_order_relaxed);
             return;
           }
-          blocks_executed.fetch_add(1, std::memory_order_relaxed);
+          run.blocks_executed.fetch_add(1, std::memory_order_relaxed);
           const size_t r0 = ci * row_block;
           const size_t r1 =
               std::min(static_cast<size_t>(result.v_rows), r0 + row_block);
@@ -787,10 +895,7 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
               }
             }
           }
-          if (em.streaming) {
-            em.EmitBatch(&block_out, w);
-            block_out = TupleBuffer(static_cast<uint32_t>(k));
-          }
+          run.EndBlock(w, &block_out);
         }
       });
     } else {
@@ -821,25 +926,17 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
       ParallelForDynamic(threads, choices.size(), /*grain=*/1, [&](size_t b0,
                                                                    size_t b1,
                                                                    int w) {
-        std::vector<Value> tuple(k);
-        // Streaming sinks get each block's tuples as one dedup'd batch; the
-        // materializing path appends to the per-worker buffer as before.
+        // Streaming sinks get each block's tuples as one dedup'd batch.
         TupleBuffer block_out(static_cast<uint32_t>(k));
-        TupleBuffer& out =
-            em.streaming ? block_out : partial[static_cast<size_t>(w)];
         auto emit = [&](size_t i, size_t j) {
-          const Value* left = hg.rows1_flat.data() + i * g1;
-          std::copy(left, left + g1, tuple.begin());
-          const Value* right = hg.rows2_flat.data() + j * g2;
-          std::copy(right, right + g2, tuple.begin() + g1);
-          out.Add(tuple);
+          run.EmitCombo(w, &block_out, hg, i, j);
         };
         for (size_t blk = b0; blk < b1; ++blk) {
-          if ((sink != nullptr && sink->done()) || cancel_fired()) {
-            blocks_skipped.fetch_add(b1 - blk, std::memory_order_relaxed);
+          if (run.Stop()) {
+            run.blocks_skipped.fetch_add(b1 - blk, std::memory_order_relaxed);
             return;
           }
-          blocks_executed.fetch_add(1, std::memory_order_relaxed);
+          run.blocks_executed.fetch_add(1, std::memory_order_relaxed);
           const BlockKernelChoice& choice = choices[blk];
           TraceRecorder::Scope block_scope(trace, BlockSpanName(choice.kernel),
                                            heavy_id);
@@ -867,77 +964,14 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
               }
             }
           }
-          if (em.streaming) {
-            em.EmitBatch(&block_out, w);
-            block_out = TupleBuffer(static_cast<uint32_t>(k));
-          }
+          run.EndBlock(w, &block_out);
         }
       });
     }
-    for (const auto& p : partial) result.tuples.Append(p);
     result.heavy_seconds = heavy_timer.Seconds();
   }
 
-  result.heavy_blocks_executed = blocks_executed.load();
-  result.heavy_blocks_skipped = blocks_skipped.load();
-  result.interrupted = interrupted.load();
-  TraceRecorder::Scope finish_scope(trace, "sink-finish", tparent);
-  if (em.streaming) {
-    // seen is the sorted duplicate-free union of everything delivered.
-    result.tuples = std::move(em.seen);
-  } else {
-    result.tuples.SortUnique();
-    if (sink != nullptr) {
-      ResultSink::Shard& shard = sink->shard(0);
-      for (size_t i = 0; i < result.tuples.size(); ++i) {
-        if (sink->done()) break;
-        if (cancel_fired()) {
-          result.interrupted = true;
-          break;
-        }
-        shard.OnTuple(result.tuples.Get(i));
-      }
-    }
-  }
-  if (sink != nullptr) sink->Finish();
-  finish_scope.Close();
-
-  if (MetricsEnabled()) {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    static Counter& steps_executed =
-        reg.GetCounter("jpmm_star_light_steps_executed_total");
-    static Counter& steps_skipped =
-        reg.GetCounter("jpmm_star_light_steps_skipped_total");
-    static Counter& blocks_exec =
-        reg.GetCounter("jpmm_join_heavy_blocks_executed_total");
-    static Counter& blocks_skip =
-        reg.GetCounter("jpmm_join_heavy_blocks_skipped_total");
-    static Counter& kernel_dense =
-        reg.GetCounter("jpmm_join_kernel_dense_blocks_total");
-    static Counter& kernel_csr_dense =
-        reg.GetCounter("jpmm_join_kernel_csr_dense_blocks_total");
-    static Counter& kernel_csr_csr =
-        reg.GetCounter("jpmm_join_kernel_csr_csr_blocks_total");
-    static Counter& partition_engaged =
-        reg.GetCounter("jpmm_partition_engaged_total");
-    static Counter& partition_pruned =
-        reg.GetCounter("jpmm_partition_blocks_pruned_total");
-    static Histogram& light_ms =
-        reg.GetHistogram("jpmm_join_light_pass_ms", DefaultLatencyBoundsMs());
-    static Histogram& heavy_ms =
-        reg.GetHistogram("jpmm_join_heavy_pass_ms", DefaultLatencyBoundsMs());
-    steps_executed.Add(result.light_steps_executed);
-    steps_skipped.Add(result.light_steps_skipped);
-    blocks_exec.Add(result.heavy_blocks_executed);
-    blocks_skip.Add(result.heavy_blocks_skipped);
-    kernel_dense.Add(result.kernel_counts.dense);
-    kernel_csr_dense.Add(result.kernel_counts.csr_dense);
-    kernel_csr_csr.Add(result.kernel_counts.csr_csr);
-    if (result.partition_used) partition_engaged.Add();
-    partition_pruned.Add(result.partition_blocks_pruned);
-    light_ms.Record(result.light_seconds * 1e3);
-    if (result.heavy_seconds > 0) heavy_ms.Record(result.heavy_seconds * 1e3);
-  }
+  run.Finish(&result);
   return result;
 }
 
@@ -946,8 +980,6 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
   JPMM_CHECK(rels.size() >= 2);
   JPMM_CHECK_MSG(rels.size() <= 8, "combo packing supports k <= 8");
   const size_t k = rels.size();
-  const size_t g1 = (k + 1) / 2;
-  const size_t g2 = k - g1;
   const int threads = std::max(1, options.threads);
 
   Thresholds t = options.thresholds;
@@ -955,7 +987,6 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
   t.delta2 = std::max<uint64_t>(1, t.delta2);
 
   StarJoinResult result;
-  result.tuples = TupleBuffer(static_cast<uint32_t>(k));
   StarContext ctx(rels, t);
   // No dense matrices here, so no byte cap: pass "unlimited".
   HeavyGroups hg =
@@ -965,46 +996,18 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
   result.w_rows = hg.map2.size();
   result.heavy_y = hg.cols.size();
 
-  ResultSink* sink = options.sink;
-  if (sink != nullptr) sink->Open(threads);
-  StarEmitter em(static_cast<uint32_t>(k));
-  em.sink = sink;
-  em.streaming = sink != nullptr && sink->may_finish_early();
-  std::atomic<uint64_t> blocks_executed{0};
-  std::atomic<uint64_t> blocks_skipped{0};
-  std::atomic<bool> interrupted{false};
-  const CancelToken* cancel = options.cancel;
-  auto cancel_fired = [&]() -> bool {
-    if (cancel != nullptr && cancel->Fired()) {
-      interrupted.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
-
-  TraceRecorder* const trace = options.trace;
-  const TraceRecorder::SpanId tparent = options.trace_parent;
-  WallTimer light_timer;
-  bool light_interrupted = false;
-  TraceRecorder::Scope light_scope(trace, "light-pass", tparent);
-  TupleBuffer light = LightSteps(
-      ctx, threads, &em, cancel, &result.light_steps_total,
-      &result.light_steps_executed, &result.light_steps_skipped,
-      &light_interrupted);
-  light_scope.Close();
-  if (light_interrupted) interrupted.store(true, std::memory_order_relaxed);
-  result.tuples.Append(light);
-  result.light_seconds = light_timer.Seconds();
+  StarRun run(rels, options);
+  run.Light(ctx, &result);
 
   constexpr size_t kComboGrain = 16;
-  if (result.v_rows > 0 && result.w_rows > 0 &&
-      ((sink != nullptr && sink->done()) || cancel_fired())) {
+  if (result.v_rows > 0 && result.w_rows > 0 && run.Stop()) {
     result.heavy_blocks_total =
         (result.v_rows + kComboGrain - 1) / kComboGrain;
-    blocks_skipped.store(result.heavy_blocks_total);
+    run.blocks_skipped.store(result.heavy_blocks_total);
   } else if (result.v_rows > 0 && result.w_rows > 0) {
     WallTimer heavy_timer;
-    TraceRecorder::Scope heavy_scope(trace, "heavy", tparent);
+    TraceRecorder::Scope heavy_scope(options.trace, "heavy",
+                                     options.trace_parent);
     // Witness (column) lists per heavy combo, ascending because entries are
     // produced in ascending column order.
     std::vector<std::vector<Value>> wit1(result.v_rows), wit2(result.w_rows);
@@ -1013,58 +1016,28 @@ StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
 
     result.heavy_blocks_total =
         (result.v_rows + kComboGrain - 1) / kComboGrain;
-    std::vector<TupleBuffer> partial(static_cast<size_t>(threads),
-                                     TupleBuffer(static_cast<uint32_t>(k)));
     // Witness-list lengths vary per combo; dynamic chunks absorb the skew.
     ParallelForDynamic(threads, result.v_rows, kComboGrain,
                        [&](size_t i0, size_t i1, int w) {
-      if ((sink != nullptr && sink->done()) || cancel_fired()) {
-        blocks_skipped.fetch_add(1, std::memory_order_relaxed);
+      if (run.Stop()) {
+        run.blocks_skipped.fetch_add(1, std::memory_order_relaxed);
         return;
       }
-      blocks_executed.fetch_add(1, std::memory_order_relaxed);
-      std::vector<Value> tuple(k);
+      run.blocks_executed.fetch_add(1, std::memory_order_relaxed);
       TupleBuffer block_out(static_cast<uint32_t>(k));
-      TupleBuffer& out =
-          em.streaming ? block_out : partial[static_cast<size_t>(w)];
       for (size_t i = i0; i < i1; ++i) {
-        const Value* left = hg.rows1_flat.data() + i * g1;
         for (size_t j = 0; j < result.w_rows; ++j) {
           if (IntersectsSorted(wit1[i], wit2[j])) {
-            std::copy(left, left + g1, tuple.begin());
-            const Value* right = hg.rows2_flat.data() + j * g2;
-            std::copy(right, right + g2, tuple.begin() + g1);
-            out.Add(tuple);
+            run.EmitCombo(w, &block_out, hg, i, j);
           }
         }
       }
-      if (em.streaming) em.EmitBatch(&block_out, w);
+      run.EndBlock(w, &block_out);
     });
-    for (const auto& p : partial) result.tuples.Append(p);
     result.heavy_seconds = heavy_timer.Seconds();
   }
 
-  result.heavy_blocks_executed = blocks_executed.load();
-  result.heavy_blocks_skipped = blocks_skipped.load();
-  result.interrupted = interrupted.load();
-  TraceRecorder::Scope finish_scope(trace, "sink-finish", tparent);
-  if (em.streaming) {
-    result.tuples = std::move(em.seen);
-  } else {
-    result.tuples.SortUnique();
-    if (sink != nullptr) {
-      ResultSink::Shard& shard = sink->shard(0);
-      for (size_t i = 0; i < result.tuples.size(); ++i) {
-        if (sink->done()) break;
-        if (cancel_fired()) {
-          result.interrupted = true;
-          break;
-        }
-        shard.OnTuple(result.tuples.Get(i));
-      }
-    }
-  }
-  if (sink != nullptr) sink->Finish();
+  run.Finish(&result);
   return result;
 }
 

@@ -62,13 +62,15 @@ struct StarJoinOptions {
   PartitionMode partition = PartitionMode::kAuto;
   /// Optional cross-execution grid memo, as in MmJoinOptions::grid_cache.
   DensityGridCache* grid_cache = nullptr;
-  /// Push-based tuple delivery (core/result_sink.h, OnTuple). The star
-  /// decomposition needs a global tuple dedup, so delivery is incremental
-  /// only for sinks with may_finish_early(): new (never-seen) tuples are
-  /// streamed after every light step / heavy product block, and done()
-  /// skips the remaining steps and blocks. Other sinks receive the final
-  /// sorted duplicate-free tuples after evaluation. result.tuples is
-  /// filled either way.
+  /// Push-based tuple delivery (core/result_sink.h, OnTuple / OnTuples).
+  /// The star decomposition needs a global tuple dedup, so delivery is
+  /// incremental only for sinks with may_finish_early(): new (never-seen)
+  /// tuples are streamed after every light step / heavy product block, and
+  /// done() skips the remaining steps and blocks. Other sinks get the
+  /// tuples after evaluation from DedupStarTuples, in OnTuples batches:
+  /// shard w receives one contiguous, ascending run of first-value ranges,
+  /// so shards merged in shard order see globally sorted tuples.
+  /// result.tuples is filled either way.
   ResultSink* sink = nullptr;
   /// Cancellation token polled between light decomposition steps and at
   /// heavy product-block granularity; a fired token truncates the run and
@@ -127,6 +129,15 @@ StarJoinResult MmStarJoin(const std::vector<const IndexedRelation*>& rels,
 /// strategy lifted to stars).
 StarJoinResult NonMmStarJoin(const std::vector<const IndexedRelation*>& rels,
                              const StarJoinOptions& options);
+
+/// The star dedup for sinks that do not stream (PartitionedTuples::
+/// SortUnique on the producers' worker count): returns the sorted,
+/// duplicate-free tuples and hands them to `sink`, if set (open with that
+/// many shards), one contiguous, ascending run of ranges per shard(w) in
+/// OnTuples batches. The token and done() are polled before every range
+/// and batch; a fired token sets *interrupted and drops the rest.
+TupleBuffer DedupStarTuples(PartitionedTuples* parts, ResultSink* sink,
+                            const CancelToken* cancel, bool* interrupted);
 
 /// Baseline: plain WCOJ over all tuples + dedup (Prop. 1).
 TupleBuffer WcojStarJoin(const std::vector<const IndexedRelation*>& rels,

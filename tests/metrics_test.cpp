@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "core/star_join.h"
+#include "storage/index.h"
 
 namespace jpmm {
 namespace {
@@ -241,6 +243,31 @@ TEST_F(MetricsTest, SnapshotAndResetForTest) {
   // References stay valid; values are zeroed in place.
   EXPECT_EQ(c.value(), 0u);
   EXPECT_EQ(reg.Snapshot().counters.at("reset_me_total"), 0u);
+}
+
+// Both star executors record the star metrics; Non-MM used to record none.
+TEST_F(MetricsTest, NonMmStarRecordsStarMetrics) {
+  BinaryRelation r;  // one dense block: every x and y heavy at delta 2
+  for (Value a = 0; a < 8; ++a) {
+    for (Value b = 0; b < 8; ++b) r.Add(a, b);
+  }
+  r.Finalize();
+  IndexedRelation ri(r);
+  StarJoinOptions opts;
+  opts.thresholds = {2, 2};
+  const StarJoinResult res = NonMmStarJoin({&ri, &ri, &ri}, opts);
+  ASSERT_GT(res.light_steps_executed, 0u);
+  ASSERT_GT(res.heavy_blocks_executed, 0u);
+
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(snap.counters.at("jpmm_star_light_steps_executed_total"),
+            res.light_steps_executed);
+  EXPECT_EQ(snap.counters.at("jpmm_star_light_steps_skipped_total"), 0u);
+  EXPECT_EQ(snap.counters.at("jpmm_join_heavy_blocks_executed_total"),
+            res.heavy_blocks_executed);
+  EXPECT_EQ(snap.counters.at("jpmm_join_heavy_blocks_skipped_total"), 0u);
+  EXPECT_EQ(snap.histograms.at("jpmm_join_light_pass_ms").count, 1u);
+  EXPECT_EQ(snap.histograms.at("jpmm_join_heavy_pass_ms").count, 1u);
 }
 
 }  // namespace

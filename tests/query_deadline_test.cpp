@@ -329,6 +329,98 @@ TEST(QueryDeadline, StarDeadlineAndMidRunCancel) {
   }
 }
 
+// Fires the token inside its first OnTuples batch. A sink that does not
+// stream gets its first batch from the finish stage's dedup, after every
+// light step and heavy block ran, so the token lands between the
+// deliveries of that stage.
+class CancelOnFirstBatchSink : public ResultSink {
+ public:
+  explicit CancelOnFirstBatchSink(CancelToken* token) : token_(token) {}
+
+  class Sh : public Shard {
+   public:
+    Sh(CancelToken* token, Shard* out) : token_(token), out_(out) {}
+    void OnPair(const OutPair& p) override { out_->OnPair(p); }
+    void OnCountedPair(const CountedPair& p) override {
+      out_->OnCountedPair(p);
+    }
+    void OnTuple(std::span<const Value> t) override { out_->OnTuple(t); }
+    void OnTuples(std::span<const Value> flat, uint32_t arity) override {
+      out_->OnTuples(flat, arity);
+      token_->RequestCancel();
+    }
+
+   private:
+    CancelToken* token_;
+    Shard* out_;
+  };
+
+  void Open(int num_shards) override {
+    inner_.Open(num_shards);
+    shards_.clear();
+    for (int i = 0; i < num_shards; ++i) {
+      shards_.push_back(std::make_unique<Sh>(token_, &inner_.shard(i)));
+    }
+  }
+  Shard& shard(int w) override { return *shards_[static_cast<size_t>(w)]; }
+  void Finish() override {
+    shards_.clear();
+    inner_.Finish();
+  }
+  VectorSink& inner() { return inner_; }
+
+ private:
+  CancelToken* const token_;
+  VectorSink inner_;
+  std::vector<std::unique_ptr<Sh>> shards_;
+};
+
+TEST(QueryDeadline, StarCancelDuringFinishStage) {
+  const BinaryRelation rel = BigGraph();
+  QueryEngine engine = MakeEngine(rel);
+  QuerySpec spec;
+  spec.kind = QueryKind::kStar;
+  spec.relations = {"R", "R", "R"};
+  std::vector<std::vector<Value>> oracle;
+  {
+    VectorSink sink;
+    ASSERT_TRUE(engine.Run(spec, sink, {}, nullptr).ok());
+    oracle = SortedTuples(sink);
+  }
+  std::set<std::vector<Value>> full(oracle.begin(), oracle.end());
+
+  for (Strategy s :
+       {Strategy::kMmJoin, Strategy::kNonMmJoin, Strategy::kWcojFull}) {
+    spec.strategy = s;
+    for (int threads : ThreadCounts()) {
+      CancelToken token;
+      CancelOnFirstBatchSink sink(&token);
+      ExecStats stats;
+      ExecOptions exec;
+      exec.threads = threads;
+      exec.cancel = &token;
+      ASSERT_TRUE(engine.Run(spec, sink, exec, &stats).ok());
+      EXPECT_TRUE(stats.interrupted)
+          << StrategyName(s) << " threads=" << threads;
+      EXPECT_EQ(stats.interrupt_reason, InterruptReason::kCancelled);
+      ExpectAccounting(stats, StrategyName(s));
+      // The token fired only once the finish stage delivered: no light
+      // step or heavy block was skipped.
+      EXPECT_EQ(stats.light_chunks_skipped, 0u) << StrategyName(s);
+      EXPECT_EQ(stats.heavy_blocks_skipped, 0u) << StrategyName(s);
+      const auto got = SortedTuples(sink.inner());
+      EXPECT_FALSE(got.empty()) << StrategyName(s);
+      EXPECT_LT(got.size(), oracle.size()) << StrategyName(s);
+      for (size_t i = 0; i + 1 < got.size(); ++i) {
+        EXPECT_NE(got[i], got[i + 1]) << "duplicate star tuple";
+      }
+      for (const auto& t : got) {
+        EXPECT_TRUE(full.count(t)) << "phantom star tuple";
+      }
+    }
+  }
+}
+
 // ---- Triangle ------------------------------------------------------------
 
 TEST(QueryDeadline, TriangleDeadlineExactness) {
