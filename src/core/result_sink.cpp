@@ -1,6 +1,7 @@
 #include "core/result_sink.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace jpmm {
 
@@ -88,35 +89,29 @@ CountOnlySink::CountOnlySink() = default;
 CountOnlySink::~CountOnlySink() = default;
 
 struct CountOnlySink::CountShard : ResultSink::Shard {
-  explicit CountShard(std::atomic<uint64_t>* total) : total_(total) {}
-  void OnPair(const OutPair&) override {
-    total_->fetch_add(1, std::memory_order_relaxed);
+  // Written only by the owning worker, so a relaxed load + store is an
+  // exact increment; the atomic just keeps count() readers race-free.
+  std::atomic<uint64_t> n{0};
+
+  void Add(uint64_t k) {
+    n.store(n.load(std::memory_order_relaxed) + k, std::memory_order_relaxed);
   }
-  void OnCountedPair(const CountedPair&) override {
-    total_->fetch_add(1, std::memory_order_relaxed);
-  }
-  void OnTuple(std::span<const Value>) override {
-    total_->fetch_add(1, std::memory_order_relaxed);
-  }
-  void OnPairs(std::span<const OutPair> ps) override {
-    total_->fetch_add(ps.size(), std::memory_order_relaxed);
-  }
+  void OnPair(const OutPair&) override { Add(1); }
+  void OnCountedPair(const CountedPair&) override { Add(1); }
+  void OnTuple(std::span<const Value>) override { Add(1); }
+  void OnPairs(std::span<const OutPair> ps) override { Add(ps.size()); }
   void OnCountedPairs(std::span<const CountedPair> ps) override {
-    total_->fetch_add(ps.size(), std::memory_order_relaxed);
+    Add(ps.size());
   }
   void OnTuples(std::span<const Value> flat, uint32_t arity) override {
-    total_->fetch_add(flat.size() / arity, std::memory_order_relaxed);
+    Add(flat.size() / arity);
   }
-
- private:
-  std::atomic<uint64_t>* total_;
 };
 
 void CountOnlySink::Open(int num_shards) {
   shards_.clear();
-  count_.store(0, std::memory_order_relaxed);
   for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<CountShard>(&count_));
+    shards_.push_back(std::make_unique<CountShard>());
   }
 }
 
@@ -124,69 +119,13 @@ ResultSink::Shard& CountOnlySink::shard(int w) {
   return *shards_[static_cast<size_t>(w)];
 }
 
-// ---- LimitSink -----------------------------------------------------------
-
-LimitSink::LimitSink(uint64_t limit) : limit_(limit) {}
-LimitSink::~LimitSink() = default;
-
-struct LimitSink::LimitShard : ResultSink::Shard {
-  LimitShard(std::atomic<uint64_t>* accepted, uint64_t limit)
-      : accepted_(accepted), limit_(limit) {}
-
-  std::vector<OutPair> pairs;
-  std::vector<CountedPair> counted;
-  std::vector<Value> tuple_data;
-  uint32_t tuple_arity = 0;
-
-  bool Reserve() {
-    return accepted_->fetch_add(1, std::memory_order_relaxed) < limit_;
-  }
-  void OnPair(const OutPair& p) override {
-    if (Reserve()) pairs.push_back(p);
-  }
-  void OnCountedPair(const CountedPair& p) override {
-    if (Reserve()) counted.push_back(p);
-  }
-  void OnTuple(std::span<const Value> tuple) override {
-    if (Reserve()) {
-      tuple_arity = static_cast<uint32_t>(tuple.size());
-      tuple_data.insert(tuple_data.end(), tuple.begin(), tuple.end());
-    }
-  }
-
- private:
-  std::atomic<uint64_t>* accepted_;
-  const uint64_t limit_;
-};
-
-void LimitSink::Open(int num_shards) {
-  shards_.clear();
-  pairs_.clear();
-  counted_.clear();
-  tuple_data_.clear();
-  tuple_arity_ = 0;
-  accepted_.store(0, std::memory_order_relaxed);
-  for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<LimitShard>(&accepted_, limit_));
-  }
+uint64_t CountOnlySink::count() const {
+  uint64_t total = 0;
+  for (const auto& s : shards_) total += s->n.load(std::memory_order_relaxed);
+  return total;
 }
 
-ResultSink::Shard& LimitSink::shard(int w) {
-  return *shards_[static_cast<size_t>(w)];
-}
-
-void LimitSink::Finish() {
-  for (auto& s : shards_) {
-    pairs_.insert(pairs_.end(), s->pairs.begin(), s->pairs.end());
-    counted_.insert(counted_.end(), s->counted.begin(), s->counted.end());
-    tuple_data_.insert(tuple_data_.end(), s->tuple_data.begin(),
-                       s->tuple_data.end());
-    if (s->tuple_arity != 0) tuple_arity_ = s->tuple_arity;
-  }
-  shards_.clear();
-}
-
-// ---- PageSink ------------------------------------------------------------
+// ---- PageSink / LimitSink ------------------------------------------------
 
 namespace {
 
@@ -209,23 +148,53 @@ struct PageSink::PageShard : ResultSink::Shard {
   std::vector<Value> tuple_data;
   uint32_t tuple_arity = 0;
 
-  // One fetch_add per result makes the page boundary exact across shards:
-  // result slots [0, offset) are skipped, [offset, end) land in the page.
-  bool Reserve() {
-    const uint64_t idx = accepted_->fetch_add(1, std::memory_order_relaxed);
-    return idx >= offset_ && idx < end_;
+  // Claims the next n result slots with one fetch_add and returns the
+  // part [lo, hi) of the delivery that lands in the page: slots below
+  // offset are skipped, slots at or past end are dropped. A full page is
+  // seen with a relaxed load, so late deliveries leave the line alone.
+  std::pair<size_t, size_t> Claim(size_t n) {
+    if (accepted_->load(std::memory_order_relaxed) >= end_) return {0, 0};
+    const uint64_t first = accepted_->fetch_add(n, std::memory_order_relaxed);
+    auto below = [&](uint64_t bound) {
+      return static_cast<size_t>(
+          std::min<uint64_t>(n, bound - std::min(first, bound)));
+    };
+    return {below(offset_), below(end_)};
   }
+  // The scalar calls stay direct: the WCOJ and light-pass emit loops
+  // deliver one pair at a time, and routing them through the span
+  // overloads measurably slowed LIMIT/page queries.
+  bool ClaimOne() {
+    const auto [lo, hi] = Claim(1);
+    return lo < hi;
+  }
+
   void OnPair(const OutPair& p) override {
-    if (Reserve()) pairs.push_back(p);
+    if (ClaimOne()) pairs.push_back(p);
   }
   void OnCountedPair(const CountedPair& p) override {
-    if (Reserve()) counted.push_back(p);
+    if (ClaimOne()) counted.push_back(p);
   }
   void OnTuple(std::span<const Value> tuple) override {
-    if (Reserve()) {
+    if (ClaimOne()) {
       tuple_arity = static_cast<uint32_t>(tuple.size());
       tuple_data.insert(tuple_data.end(), tuple.begin(), tuple.end());
     }
+  }
+  void OnPairs(std::span<const OutPair> ps) override {
+    const auto [lo, hi] = Claim(ps.size());
+    pairs.insert(pairs.end(), ps.begin() + lo, ps.begin() + hi);
+  }
+  void OnCountedPairs(std::span<const CountedPair> ps) override {
+    const auto [lo, hi] = Claim(ps.size());
+    counted.insert(counted.end(), ps.begin() + lo, ps.begin() + hi);
+  }
+  void OnTuples(std::span<const Value> flat, uint32_t arity) override {
+    const auto [lo, hi] = Claim(flat.size() / arity);
+    if (lo == hi) return;
+    tuple_arity = arity;
+    tuple_data.insert(tuple_data.end(), flat.begin() + lo * arity,
+                      flat.begin() + hi * arity);
   }
 
  private:
@@ -452,7 +421,7 @@ struct FanoutSink::FanShard : ResultSink::Shard {
   // for delivery while the shared pass keeps running for the others.
   std::vector<std::pair<ResultSink*, ResultSink::Shard*>> targets;
   std::vector<ResultSink::Shard*> taps;
-  std::atomic<uint64_t>* forwarded = nullptr;
+  uint64_t forwarded = 0;  // summed into FanoutSink::forwarded_ at Finish()
 
   // Scalar emissions are buffered and forwarded as spans. Without this,
   // a strategy that emits pair-by-pair (the mm-join emit loops do) would
@@ -473,7 +442,7 @@ struct FanoutSink::FanShard : ResultSink::Shard {
       }
     }
     for (Shard* sh : taps) sh->OnPairs(ps);
-    forwarded->fetch_add(n, std::memory_order_relaxed);
+    forwarded += n;
   }
   void ForwardCounted(std::span<const CountedPair> ps) {
     uint64_t n = 0;
@@ -484,7 +453,7 @@ struct FanoutSink::FanShard : ResultSink::Shard {
       }
     }
     for (Shard* sh : taps) sh->OnCountedPairs(ps);
-    forwarded->fetch_add(n, std::memory_order_relaxed);
+    forwarded += n;
   }
   void Flush() {
     if (!pair_buf.empty()) {
@@ -520,7 +489,7 @@ struct FanoutSink::FanShard : ResultSink::Shard {
       }
     }
     for (Shard* sh : taps) sh->OnTuples(flat, arity);
-    forwarded->fetch_add(n, std::memory_order_relaxed);
+    forwarded += n;
   }
   void OnPairs(std::span<const OutPair> ps) override {
     Flush();
@@ -536,13 +505,12 @@ void FanoutSink::AddTarget(ResultSink* sink) { targets_.push_back(sink); }
 void FanoutSink::AddTap(ResultSink* sink) { taps_.push_back(sink); }
 
 void FanoutSink::Open(int num_shards) {
-  forwarded_.store(0, std::memory_order_relaxed);
+  forwarded_ = 0;
   for (ResultSink* t : targets_) t->Open(num_shards);
   for (ResultSink* t : taps_) t->Open(num_shards);
   shards_.clear();
   for (int w = 0; w < num_shards; ++w) {
     auto sh = std::make_unique<FanShard>();
-    sh->forwarded = &forwarded_;
     for (ResultSink* t : targets_) sh->targets.emplace_back(t, &t->shard(w));
     for (ResultSink* t : taps_) sh->taps.push_back(&t->shard(w));
     shards_.push_back(std::move(sh));
@@ -579,7 +547,10 @@ bool FanoutSink::supports_tuples() const {
 }
 
 void FanoutSink::Finish() {
-  for (auto& sh : shards_) sh->Flush();  // drain the scalar buffers first
+  for (auto& sh : shards_) {
+    sh->Flush();  // drain the scalar buffers first
+    forwarded_ += sh->forwarded;
+  }
   for (ResultSink* t : targets_) t->Finish();
   for (ResultSink* t : taps_) t->Finish();
   shards_.clear();

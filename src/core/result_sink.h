@@ -47,7 +47,11 @@ class ResultSink {
   /// Per-worker emission handle. shard(w) is touched only by worker w
   /// between Open() and Finish(), so implementations need no locking in
   /// the On* methods unless they share state across shards on purpose.
-  class Shard {
+  /// Shards are cache-line aligned (and so padded to whole lines): state
+  /// kept inside a shard never shares a line with another shard's, so
+  /// per-result writes stay core-local. A shared atomic is only for
+  /// done() and bounded reservations (LimitSink / PageSink slots).
+  class alignas(64) Shard {
    public:
     virtual ~Shard() = default;
     /// One plain output pair (count_witnesses off).
@@ -126,7 +130,9 @@ class VectorSink : public ResultSink {
   uint32_t tuple_arity_ = 0;
 };
 
-/// Counts results without storing them.
+/// Counts results without storing them. Each shard counts into its own
+/// cache line (the owner bumps it with a relaxed load + store, no locked
+/// read-modify-write), so counting never bounces a line between cores.
 class CountOnlySink : public ResultSink {
  public:
   CountOnlySink();
@@ -135,52 +141,14 @@ class CountOnlySink : public ResultSink {
   void Open(int num_shards) override;
   Shard& shard(int w) override;
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  /// Sum of the shard counters. Exact after Finish(); during emission it
+  /// may be read from any thread (not concurrently with Open()) and gives
+  /// a monotone lower bound of the final count.
+  uint64_t count() const;
 
  private:
   struct CountShard;
   std::vector<std::unique_ptr<CountShard>> shards_;
-  std::atomic<uint64_t> count_{0};
-};
-
-/// Keeps the first `limit` results to arrive and then reports done().
-/// WHICH results are kept follows the (nondeterministic) emission order;
-/// the kept count is deterministic: min(limit, |OUT|). Slots are reserved
-/// with one atomic fetch_add per result, so across all shards exactly
-/// min(limit, emitted) results are stored — no post-hoc truncation.
-class LimitSink : public ResultSink {
- public:
-  explicit LimitSink(uint64_t limit);
-  ~LimitSink() override;
-
-  void Open(int num_shards) override;
-  Shard& shard(int w) override;
-  bool done() const override {
-    return accepted_.load(std::memory_order_relaxed) >= limit_;
-  }
-  bool may_finish_early() const override { return true; }
-  void Finish() override;
-
-  uint64_t limit() const { return limit_; }
-  const std::vector<OutPair>& pairs() const { return pairs_; }
-  const std::vector<CountedPair>& counted() const { return counted_; }
-  const std::vector<Value>& tuple_data() const { return tuple_data_; }
-  uint32_t tuple_arity() const { return tuple_arity_; }
-  size_t size() const {
-    if (!pairs_.empty()) return pairs_.size();
-    if (!counted_.empty()) return counted_.size();
-    return tuple_arity_ == 0 ? 0 : tuple_data_.size() / tuple_arity_;
-  }
-
- private:
-  struct LimitShard;
-  const uint64_t limit_;
-  std::atomic<uint64_t> accepted_{0};
-  std::vector<std::unique_ptr<LimitShard>> shards_;
-  std::vector<OutPair> pairs_;
-  std::vector<CountedPair> counted_;
-  std::vector<Value> tuple_data_;
-  uint32_t tuple_arity_ = 0;
 };
 
 /// One result page: skips the first `offset` results to arrive, keeps the
@@ -190,8 +158,12 @@ class LimitSink : public ResultSink {
 /// order; the counts are deterministic:
 ///   size()    == min(limit, |OUT| - min(offset, |OUT|))
 ///   skipped() == min(offset, |OUT|)   (exact skip accounting)
-/// Slots are reserved with one atomic fetch_add per result, so the skip
-/// count and page boundary are exact across any number of shards.
+/// Each delivery reserves its result slots with one atomic fetch_add — a
+/// span claims all of its slots at once and keeps exactly those inside
+/// [offset, end) — so the skip count and page boundary are exact across
+/// any number of shards and any mix of scalar and span calls. Once the
+/// page is full a relaxed load turns deliveries away before they write
+/// the shared counter.
 class PageSink : public ResultSink {
  public:
   PageSink(uint64_t offset, uint64_t limit);
@@ -232,6 +204,14 @@ class PageSink : public ResultSink {
   std::vector<CountedPair> counted_;
   std::vector<Value> tuple_data_;
   uint32_t tuple_arity_ = 0;
+};
+
+/// Keeps the first `limit` results to arrive and then reports done(): the
+/// page at offset 0. WHICH results are kept follows the (nondeterministic)
+/// emission order; the kept count is deterministic: min(limit, |OUT|).
+class LimitSink final : public PageSink {
+ public:
+  explicit LimitSink(uint64_t limit) : PageSink(0, limit) {}
 };
 
 /// The k highest-witness-count pairs, without a full sort: each shard keeps
@@ -352,17 +332,16 @@ class FanoutSink : public ResultSink {
 
   size_t num_targets() const { return targets_.size(); }
   /// Total results delivered across all targets (bulk spans count each
-  /// element once per receiving target). Feeds jpmm_batch_fanout_*.
-  uint64_t results_forwarded() const {
-    return forwarded_.load(std::memory_order_relaxed);
-  }
+  /// element once per receiving target), summed from the shards at
+  /// Finish(). Feeds jpmm_batch_fanout_*.
+  uint64_t results_forwarded() const { return forwarded_; }
 
  private:
   struct FanShard;
   std::vector<ResultSink*> targets_;
   std::vector<ResultSink*> taps_;
   std::vector<std::unique_ptr<FanShard>> shards_;
-  std::atomic<uint64_t> forwarded_{0};
+  uint64_t forwarded_ = 0;
 };
 
 /// Bounded materializer used as a FanoutSink tap: captures the complete
