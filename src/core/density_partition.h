@@ -130,6 +130,8 @@ struct DensityGridOptions {
   /// Representation gates from the caller's memory-cap accounting.
   bool allow_dense = true;
   bool allow_csr_dense = true;
+
+  bool operator==(const DensityGridOptions&) const = default;
 };
 
 /// A density-adaptive decomposition of one A (rows x v) * B (v x cols)
@@ -188,44 +190,30 @@ DensityGrid BuildDensityGrid(const CsrMatrix& a, const CsrMatrix& b,
 /// the version-change invalidation. The mutex hold is two pointer-size
 /// copies per execution — off every inner loop.
 struct DensityGridCache {
+  /// Every input the build reads besides the operands: the ADJUSTED
+  /// thresholds the partition ran under (memory-cap doubling changes the
+  /// heavy operands), plus the build options.
+  struct Key {
+    Thresholds thresholds{0, 0};
+    DensityGridOptions options;
+    bool operator==(const Key&) const = default;
+  };
+
   std::mutex mu;
   bool valid = false;
-  /// Key: the ADJUSTED thresholds the partition ran under (memory-cap
-  /// doubling changes the heavy operands), plus every DensityGridOptions
-  /// field the build reads.
-  Thresholds thresholds{0, 0};
-  size_t row_block = 0;
-  HeavyPathMode mode = HeavyPathMode::kAuto;
-  bool allow_dense = true;
-  bool allow_csr_dense = true;
-  const SparseKernelRates* rates = nullptr;
+  Key key;
   std::shared_ptr<const DensityGrid> grid;
 
   /// Returns the memoized grid on a key match, else nullptr.
-  std::shared_ptr<const DensityGrid> Lookup(Thresholds t, size_t rb,
-                                            HeavyPathMode m, bool dense,
-                                            bool csr_dense,
-                                            const SparseKernelRates* r) {
+  std::shared_ptr<const DensityGrid> Lookup(const Key& k) {
     std::lock_guard<std::mutex> lock(mu);
-    if (valid && thresholds.delta1 == t.delta1 &&
-        thresholds.delta2 == t.delta2 && row_block == rb && mode == m &&
-        allow_dense == dense && allow_csr_dense == csr_dense && rates == r) {
-      return grid;
-    }
-    return nullptr;
+    return valid && key == k ? grid : nullptr;
   }
 
-  void Store(Thresholds t, size_t rb, HeavyPathMode m, bool dense,
-             bool csr_dense, const SparseKernelRates* r,
-             std::shared_ptr<const DensityGrid> g) {
+  void Store(const Key& k, std::shared_ptr<const DensityGrid> g) {
     std::lock_guard<std::mutex> lock(mu);
     valid = true;
-    thresholds = t;
-    row_block = rb;
-    mode = m;
-    allow_dense = dense;
-    allow_csr_dense = csr_dense;
-    rates = r;
+    key = k;
     grid = std::move(g);
   }
 };

@@ -126,19 +126,7 @@ std::vector<BlockKernelChoice> PlanProductBlocks(
             allow_csr_dense);
         break;
     }
-    if (counts != nullptr) {
-      switch (c.kernel) {
-        case ProductKernel::kDenseGemm:
-          ++counts->dense;
-          break;
-        case ProductKernel::kCsrDense:
-          ++counts->csr_dense;
-          break;
-        case ProductKernel::kCsrCsr:
-          ++counts->csr_csr;
-          break;
-      }
-    }
+    if (counts != nullptr) counts->Add(c.kernel);
     choices.push_back(c);
   }
   return choices;

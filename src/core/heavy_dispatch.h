@@ -12,10 +12,12 @@
 //   CSR x dense     SparseProductOps(nnz, rows, W) / rate(d) + emit scan
 //   CSR x CSR       CsrCsrExpandOps / rate(d)        (sparse emit, no scan)
 //
-// mm_join, star_join, and triangle all plan their blocks through
-// PlanProductBlocks; the memory-cap loops gate which representations may
-// be materialized (allow_dense / allow_csr_dense) so a capped run degrades
-// to the cheaper-memory kernel instead of doubling thresholds.
+// mm_join, star_join, and triangle all plan their blocks through the
+// heavy-product executor (core/heavy_product.h), which calls
+// PlanProductBlocks or BuildDensityGrid; the memory-cap loops gate which
+// representations may be materialized (allow_dense / allow_csr_dense) so a
+// capped run degrades to the cheaper-memory kernel instead of doubling
+// thresholds.
 
 #ifndef JPMM_CORE_HEAVY_DISPATCH_H_
 #define JPMM_CORE_HEAVY_DISPATCH_H_
@@ -75,6 +77,11 @@ struct HeavyKernelCounts {
   uint64_t csr_dense = 0;
   uint64_t csr_csr = 0;
   uint64_t total() const { return dense + csr_dense + csr_csr; }
+  void Add(ProductKernel k) {
+    ++(k == ProductKernel::kDenseGemm ? dense
+       : k == ProductKernel::kCsrDense ? csr_dense
+                                       : csr_csr);
+  }
 };
 
 /// Cheapest kernel for one rows x v by v x w block with the given exact

@@ -12,6 +12,23 @@
 #include "storage/stats.h"
 
 namespace jpmm {
+namespace {
+
+// MMJoin and Non-MM both report through MmJoinResult.
+void TakeTwoPathResult(MmJoinResult res, JoinProjectOutput* out) {
+  static_cast<HeavyRecord&>(*out) = std::move(res);
+  out->pairs = std::move(res.pairs);
+  out->counted = std::move(res.counted);
+  out->m1_nnz = res.m1_nnz;
+  out->m2_nnz = res.m2_nnz;
+  out->heavy_density = res.heavy_density;
+  out->light_chunks_total = res.light_chunks_total;
+  out->light_chunks_executed = res.light_chunks_executed;
+  out->light_chunks_skipped = res.light_chunks_skipped;
+  out->interrupted = res.interrupted;
+}
+
+}  // namespace
 
 std::string ValidateJoinProjectOptions(const JoinProjectOptions& opts) {
   if (opts.threads <= 0) {
@@ -162,28 +179,7 @@ JoinProjectOutput JoinProject::TwoPathWithPlan(const IndexedRelation& r,
       mo.cancel = opts.cancel;
       mo.trace = opts.trace;
       mo.trace_parent = opts.trace_parent;
-      MmJoinResult res = MmJoinTwoPath(r, s, mo);
-      out.pairs = std::move(res.pairs);
-      out.counted = std::move(res.counted);
-      out.m1_nnz = res.m1_nnz;
-      out.m2_nnz = res.m2_nnz;
-      out.heavy_density = res.heavy_density;
-      out.kernel_counts = res.kernel_counts;
-      out.block_choices = std::move(res.block_choices);
-      out.partition_used = res.partition_used;
-      out.partition_row_bands = res.partition_row_bands;
-      out.partition_col_bands = res.partition_col_bands;
-      out.partition_blocks_scheduled = res.partition_blocks_scheduled;
-      out.partition_blocks_pruned = res.partition_blocks_pruned;
-      out.partition_signature = std::move(res.partition_signature);
-      out.partition_cache_hit = res.partition_cache_hit;
-      out.heavy_blocks_total = res.heavy_blocks_total;
-      out.heavy_blocks_executed = res.heavy_blocks_executed;
-      out.heavy_blocks_skipped = res.heavy_blocks_skipped;
-      out.light_chunks_total = res.light_chunks_total;
-      out.light_chunks_executed = res.light_chunks_executed;
-      out.light_chunks_skipped = res.light_chunks_skipped;
-      out.interrupted = res.interrupted;
+      TakeTwoPathResult(MmJoinTwoPath(r, s, mo), &out);
       out.executed = Strategy::kMmJoin;
       break;
     }
@@ -204,16 +200,7 @@ JoinProjectOutput JoinProject::TwoPathWithPlan(const IndexedRelation& r,
       no.cancel = opts.cancel;
       no.trace = opts.trace;
       no.trace_parent = opts.trace_parent;
-      MmJoinResult res = NonMmJoinTwoPath(r, s, no);
-      out.pairs = std::move(res.pairs);
-      out.counted = std::move(res.counted);
-      out.heavy_blocks_total = res.heavy_blocks_total;
-      out.heavy_blocks_executed = res.heavy_blocks_executed;
-      out.heavy_blocks_skipped = res.heavy_blocks_skipped;
-      out.light_chunks_total = res.light_chunks_total;
-      out.light_chunks_executed = res.light_chunks_executed;
-      out.light_chunks_skipped = res.light_chunks_skipped;
-      out.interrupted = res.interrupted;
+      TakeTwoPathResult(NonMmJoinTwoPath(r, s, no), &out);
       out.executed = Strategy::kNonMmJoin;
       break;
     }

@@ -15,39 +15,29 @@
 // classes visited by the light part and the matrix product partition the
 // witness set (see two_path_internal.h).
 //
-// Exactness bound: heavy witness counts accumulate in float matrix cells
-// and are read back with an integer cast, both exact only for values below
-// 2^24. A cell's count is at most the inner dimension |heavy y|, so
-// MmJoinTwoPath checks |heavy y| < 2^24 at plan build time and aborts
-// rather than silently truncating counts. (In practice the
-// max_matrix_bytes cap forces thresholds up long before the bound binds.)
+// Exactness bound: heavy witness counts on the dense and CSR x dense
+// kernels accumulate in float matrix cells and are read back with an
+// integer cast, both exact only for values below 2^24. A cell's count is at
+// most the inner dimension |heavy y|, so when |heavy y| reaches 2^24 the
+// heavy-product executor (core/heavy_product.h) plans only the CSR x CSR
+// kernel, which counts in uint32 — the query runs instead of aborting. (In
+// practice the max_matrix_bytes cap forces thresholds up long before the
+// bound binds.)
 
 #ifndef JPMM_CORE_MM_JOIN_H_
 #define JPMM_CORE_MM_JOIN_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
-#include "core/density_partition.h"
-#include "core/heavy_dispatch.h"
+#include "core/heavy_product.h"
 #include "core/thresholds.h"
 #include "storage/index.h"
 
 namespace jpmm {
 
-class CancelToken;
 class ResultSink;
-class TraceRecorder;
-
-/// Smallest positive integer a float matrix cell (and the `v + 0.5f`
-/// integer read-back) can NOT represent exactly: 2^24. Witness counts are
-/// exact strictly below this, so MmJoinTwoPath and MmStarJoin check their
-/// heavy inner dimension (the per-cell count maximum) against it whenever a
-/// float-accumulating kernel (dense GEMM or CSR x dense) runs. The CSR x
-/// CSR kernel counts in uint32 stamp counters and is exempt.
-inline constexpr uint64_t kMaxExactFloatCount = uint64_t{1} << 24;
 
 /// Deduplication implementation for the light part (§6 discusses both).
 enum class DedupImpl {
@@ -55,77 +45,37 @@ enum class DedupImpl {
   kSortLocal,   // append witnesses, sort, aggregate (wins on huge sparse z)
 };
 
-struct MmJoinOptions {
+/// Heavy-product knobs (threads, row_block, heavy_path, sparse_rates,
+/// partition, grid_cache, max_matrix_bytes, cancel, trace, trace_parent)
+/// come from HeavyKnobs. max_matrix_bytes caps the heavy-part working set:
+/// the CSR index arrays are always counted; dense M1/M2, the shared
+/// packed-B slab, and the per-worker row-block float buffers (threads *
+/// row_block * |heavy_z|) only when dense or CSR x dense blocks may run;
+/// the per-worker stamp scratch when CSR x CSR may run. Under kAuto the
+/// dense representations are *gated off* when they alone would blow the
+/// cap — the query degrades to the CSR kernels — and thresholds double
+/// only when even the CSR floor does not fit (recorded in
+/// adjusted_thresholds).
+struct MmJoinOptions : HeavyKnobs {
   Thresholds thresholds;
-  int threads = 1;
   /// Produce CountedPair witness counts instead of plain pairs.
   bool count_witnesses = false;
   /// Emit only pairs with >= min_count witnesses (requires counting when
   /// min_count > 1). SSJ sets this to the overlap threshold c.
   uint32_t min_count = 1;
-  /// Rows per matrix block (memory = row_block * |heavy_z| floats per
-  /// worker). Each block is one MultiplyRowRange call against the shared
-  /// packed-B slab (B is packed once per query, not per block); 256 rows =
-  /// two MC panels of the blocked kernel.
-  size_t row_block = 256;
   DedupImpl dedup = DedupImpl::kStampArray;
-  /// Heavy-part kernel selection. kAuto picks per product block between the
-  /// dense blocked GEMM and the CSR kernels from the block's measured
-  /// density (core/heavy_dispatch.h); the force modes pin one kernel
-  /// everywhere (equivalence tests diff their sorted outputs).
-  HeavyPathMode heavy_path = HeavyPathMode::kAuto;
-  /// Measured sparse-kernel rates for the dispatch; nullptr uses
-  /// SparseKernelRates::Default() (measured once per process, and only when
-  /// a heavy part actually exists under kAuto).
-  const SparseKernelRates* sparse_rates = nullptr;
-  /// Density-adaptive heavy-part decomposition (core/density_partition.h):
-  /// degree-remapped row/column bands with per-block kernels and pruned
-  /// provably-empty blocks. kAuto engages the grid when its priced cost
-  /// beats the uniform row-block plan and the band slices fit the memory
-  /// cap; kForce engages it whenever a heavy product exists (fuzzer /
-  /// equivalence tests); kOff always runs the uniform plan. Outputs are
-  /// byte-identical either way — the remap is inverted at emit time.
-  PartitionMode partition = PartitionMode::kAuto;
-  /// Optional cross-execution grid memo owned by the caller's plan state
-  /// (see DensityGridCache). On a key match the degree-remap rebuild is
-  /// skipped; the hit is recorded in MmJoinResult::partition_cache_hit and
-  /// the "degree-remap" trace span's detail. Null = always rebuild.
-  DensityGridCache* grid_cache = nullptr;
   /// Push-based result delivery (core/result_sink.h). When set, results
   /// stream into the sink (min_count filtering still applies first) and
   /// MmJoinResult::pairs / counted stay empty; the sink's done() signal is
-  /// polled at light-chunk / product-block granularity and skips the
+  /// polled at light-chunk / product-chunk granularity and skips the
   /// remaining work (skip counts land in the result). When null, results
   /// materialize into the result vectors as before.
   ResultSink* sink = nullptr;
-  /// Hard cap on the heavy-part working set. What counts depends on the
-  /// representation the chosen kernels need: the CSR index arrays are
-  /// always counted; dense M1/M2, the shared packed-B slab, and the
-  /// per-worker row-block float buffers (threads * row_block * |heavy_z|)
-  /// only when dense or CSR x dense blocks may run; the per-worker stamp
-  /// scratch when CSR x CSR may run. Under kAuto the dense representations
-  /// are *gated off* when they alone would blow the cap — the query
-  /// degrades to the CSR kernels — and thresholds double only when even
-  /// the CSR floor does not fit (recorded in adjusted_thresholds). This is
-  /// what stops sparse inputs from having their thresholds over-forced by
-  /// dense U*V accounting.
-  uint64_t max_matrix_bytes = uint64_t{3} << 30;
-  /// Optional cancellation token (deadline | explicit cancel), polled at
-  /// the same light-chunk / product-block granularity as the sink's done()
-  /// signal. A fired token skips the remaining work (skips counted like
-  /// sink-driven early exit) and sets MmJoinResult::interrupted; partial
-  /// results already delivered stay valid.
-  const CancelToken* cancel = nullptr;
-  /// Optional per-query stage tracing (core/trace.h). Stage spans
-  /// (threshold-fit, light-pass + chunks, heavy: csr-build / degree-remap /
-  /// pack / per-block kernels, sink-finish) are recorded under
-  /// `trace_parent`. Null = zero cost. Every opened span is closed on every
-  /// exit path, including cancel / sink-done early exits.
-  TraceRecorder* trace = nullptr;
-  int32_t trace_parent = -1;  // TraceRecorder::kNoParent
 };
 
-struct MmJoinResult {
+/// The heavy-product record (kernel mix, block choices, partition and
+/// heavy-block early-exit counters, heavy_seconds) comes from HeavyRecord.
+struct MmJoinResult : HeavyRecord {
   /// Filled when !count_witnesses. Order unspecified.
   std::vector<OutPair> pairs;
   /// Filled when count_witnesses. Order unspecified.
@@ -139,31 +89,9 @@ struct MmJoinResult {
   uint64_t m1_nnz = 0;             // set cells of the heavy-x adjacency
   uint64_t m2_nnz = 0;             // set cells of the heavy-z adjacency
   double heavy_density = 0.0;      // m1_nnz / (heavy_rows * heavy_inner)
-  HeavyKernelCounts kernel_counts; // product blocks per kernel
-  std::vector<BlockKernelChoice> block_choices;  // per-block dispatch record
   double light_seconds = 0.0;
-  double heavy_seconds = 0.0;      // matrix build + multiply + scan
-
-  // --- density-adaptive partitioning (core/density_partition.h) ---
-  bool partition_used = false;         // grid engaged on the heavy product
-  uint64_t partition_row_bands = 0;    // grid shape actually executed
-  uint64_t partition_col_bands = 0;
-  uint64_t partition_blocks_scheduled = 0;  // grid cells with work
-  uint64_t partition_blocks_pruned = 0;     // cells with a zero nnz bound
-  /// Stable fingerprint of the executed decomposition ("off", "uniform", or
-  /// DensityGrid::Signature()). Identical across re-executions of one plan
-  /// against an unchanged catalog, at every thread count.
-  std::string partition_signature = "off";
-  /// True iff the grid came from MmJoinOptions::grid_cache instead of a
-  /// fresh BuildDensityGrid (identical grid either way — the cache key
-  /// covers every input the build reads).
-  bool partition_cache_hit = false;
 
   // --- early-exit instrumentation (sink-driven runs) ---
-  uint64_t heavy_blocks_total = 0;     // planned product blocks (or heavy
-                                       // chunks for the combinatorial path)
-  uint64_t heavy_blocks_executed = 0;  // blocks actually run
-  uint64_t heavy_blocks_skipped = 0;   // blocks skipped after sink done()
   uint64_t light_chunks_total = 0;     // planned light-part chunks
   uint64_t light_chunks_executed = 0;  // light-part chunks actually run
   uint64_t light_chunks_skipped = 0;   // light-part chunks skipped

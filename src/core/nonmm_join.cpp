@@ -4,7 +4,6 @@
 #include <atomic>
 
 #include "common/check.h"
-#include "common/metrics.h"
 #include "common/stamp_set.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -189,26 +188,7 @@ MmJoinResult NonMmJoinTwoPath(const IndexedRelation& r,
   result.light_chunks_executed = light_executed.load();
   result.light_chunks_skipped = light_skipped.load();
   result.interrupted = interrupted.load();
-  if (MetricsEnabled()) {
-    static Counter& lc_exec = MetricsRegistry::Global().GetCounter(
-        "jpmm_join_light_chunks_executed_total");
-    static Counter& lc_skip = MetricsRegistry::Global().GetCounter(
-        "jpmm_join_light_chunks_skipped_total");
-    static Counter& hb_exec = MetricsRegistry::Global().GetCounter(
-        "jpmm_join_heavy_blocks_executed_total");
-    static Counter& hb_skip = MetricsRegistry::Global().GetCounter(
-        "jpmm_join_heavy_blocks_skipped_total");
-    static Histogram& light_ms = MetricsRegistry::Global().GetHistogram(
-        "jpmm_join_light_pass_ms", DefaultLatencyBoundsMs());
-    static Histogram& heavy_ms = MetricsRegistry::Global().GetHistogram(
-        "jpmm_join_heavy_pass_ms", DefaultLatencyBoundsMs());
-    lc_exec.Add(result.light_chunks_executed);
-    lc_skip.Add(result.light_chunks_skipped);
-    hb_exec.Add(result.heavy_blocks_executed);
-    hb_skip.Add(result.heavy_blocks_skipped);
-    light_ms.Record(result.light_seconds * 1e3);
-    if (use_heavy) heavy_ms.Record(result.heavy_seconds * 1e3);
-  }
+  internal::RecordTwoPathMetrics(result);
   return result;
 }
 

@@ -21,11 +21,9 @@
 #ifndef JPMM_CORE_STAR_JOIN_H_
 #define JPMM_CORE_STAR_JOIN_H_
 
-#include <string>
 #include <vector>
 
-#include "core/density_partition.h"
-#include "core/heavy_dispatch.h"
+#include "core/heavy_product.h"
 #include "core/thresholds.h"
 #include "join/star_wcoj.h"
 #include "storage/index.h"
@@ -34,55 +32,31 @@ namespace jpmm {
 
 class CancelToken;
 class ResultSink;
-class TraceRecorder;
 
-struct StarJoinOptions {
+/// Heavy-product knobs come from HeavyKnobs, as in MmJoinOptions:
+/// per-block density-aware dispatch under kAuto, the degree-remapped grid
+/// per `partition`, the cancellation token (polled between light
+/// decomposition steps and per product chunk), tracing. max_matrix_bytes
+/// caps the heavy-part bytes: thresholds double until the combo
+/// registration fits; the dense V/W representations are additionally gated
+/// off (falling back to the CSR kernels) when they alone would exceed it.
+struct StarJoinOptions : HeavyKnobs {
   Thresholds thresholds;
-  int threads = 1;
-  /// Cap on the heavy-part bytes. Thresholds double until the combo
-  /// registration fits; the dense V/W representations are additionally
-  /// gated off (falling back to the CSR kernels) when they alone would
-  /// exceed the cap.
-  uint64_t max_matrix_bytes = uint64_t{3} << 30;
-  /// Rows per product block (memory = row_block * |W rows| floats / worker).
-  /// 256 rows = two MC panels of the blocked kernel, amortizing the per-call
-  /// B-panel packing (see core/mm_join.h).
-  size_t row_block = 256;
-  /// Heavy-part kernel selection, as in MmJoinOptions: per-block
-  /// density-aware dispatch under kAuto, pinned kernel under the force
-  /// modes.
-  HeavyPathMode heavy_path = HeavyPathMode::kAuto;
-  /// nullptr uses SparseKernelRates::Default().
-  const SparseKernelRates* sparse_rates = nullptr;
-  /// Density-adaptive decomposition of the V * W^T product, as in
-  /// MmJoinOptions::partition: kAuto engages the degree-remapped grid when
-  /// it prices cheaper than the uniform row-block plan and fits the cap,
-  /// kForce whenever a heavy product exists, kOff never. Tuples are
-  /// identical either way (the remap is inverted at emit time).
-  PartitionMode partition = PartitionMode::kAuto;
-  /// Optional cross-execution grid memo, as in MmJoinOptions::grid_cache.
-  DensityGridCache* grid_cache = nullptr;
   /// Push-based tuple delivery (core/result_sink.h, OnTuple / OnTuples).
   /// The star decomposition needs a global tuple dedup, so delivery is
   /// incremental only for sinks with may_finish_early(): new (never-seen)
-  /// tuples are streamed after every light step / heavy product block, and
-  /// done() skips the remaining steps and blocks. Other sinks get the
+  /// tuples are streamed after every light step / heavy product chunk, and
+  /// done() skips the remaining steps and chunks. Other sinks get the
   /// tuples after evaluation from DedupStarTuples, in OnTuples batches:
   /// shard w receives one contiguous, ascending run of first-value ranges,
   /// so shards merged in shard order see globally sorted tuples.
   /// result.tuples is filled either way.
   ResultSink* sink = nullptr;
-  /// Cancellation token polled between light decomposition steps and at
-  /// heavy product-block granularity; a fired token truncates the run and
-  /// sets StarJoinResult::interrupted. See MmJoinOptions::cancel.
-  const CancelToken* cancel = nullptr;
-  /// Optional per-query stage tracing under `trace_parent`; null = zero
-  /// cost. See MmJoinOptions::trace.
-  TraceRecorder* trace = nullptr;
-  int32_t trace_parent = -1;  // TraceRecorder::kNoParent
 };
 
-struct StarJoinResult {
+/// The heavy-product record (kernel mix, partition and heavy-block
+/// early-exit counters, heavy_seconds) comes from HeavyRecord.
+struct StarJoinResult : HeavyRecord {
   TupleBuffer tuples;  // sorted, duplicate-free
   Thresholds adjusted_thresholds;
   uint64_t v_rows = 0;  // heavy combos, first group
@@ -91,28 +65,12 @@ struct StarJoinResult {
   uint64_t v_nnz = 0;   // set cells of V (heavy combo incidences)
   uint64_t w_nnz = 0;   // set cells of W
   double heavy_density = 0.0;      // v_nnz / (v_rows * heavy_y)
-  HeavyKernelCounts kernel_counts; // product blocks per kernel
   double light_seconds = 0.0;
-  double heavy_seconds = 0.0;
-
-  // --- density-adaptive partitioning (core/density_partition.h) ---
-  bool partition_used = false;
-  uint64_t partition_row_bands = 0;
-  uint64_t partition_col_bands = 0;
-  uint64_t partition_blocks_scheduled = 0;
-  uint64_t partition_blocks_pruned = 0;
-  /// "off", "uniform", or DensityGrid::Signature() — see MmJoinResult.
-  std::string partition_signature = "off";
-  /// Grid reused from StarJoinOptions::grid_cache — see MmJoinResult.
-  bool partition_cache_hit = false;
 
   // --- early-exit instrumentation (sink-driven runs) ---
   uint64_t light_steps_total = 0;      // planned light decomposition steps
   uint64_t light_steps_executed = 0;   // light steps actually run
   uint64_t light_steps_skipped = 0;    // light decomposition steps skipped
-  uint64_t heavy_blocks_total = 0;
-  uint64_t heavy_blocks_executed = 0;
-  uint64_t heavy_blocks_skipped = 0;
 
   /// True iff a fired CancelToken truncated the run (see MmJoinResult).
   bool interrupted = false;

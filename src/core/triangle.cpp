@@ -7,8 +7,8 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "core/cancel_token.h"
+#include "core/heavy_product.h"
 #include "core/trace.h"
-#include "matrix/dense_matrix.h"
 #include "matrix/matmul.h"
 #include "matrix/sparse_matrix.h"
 
@@ -120,7 +120,6 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
   // QueryEngine.DoneMidChunkSkipsIdenticalDownstreamBlocks).
   std::atomic<uint64_t> light_executed{0};
   std::atomic<uint64_t> light_skipped{0};
-  std::atomic<uint64_t> skipped{0};
   std::vector<uint64_t> light_partial(static_cast<size_t>(threads), 0);
   TraceRecorder* const trace_rec = options.trace;
   const TraceRecorder::SpanId tparent = options.trace_parent;
@@ -157,12 +156,11 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
   for (uint64_t c : light_partial) result.light_triangles += c;
 
   // Heavy part: trace(A_H^3) / 6. A_H is symmetric, so
-  // trace(A^3) = sum_{i,j} (A^2)[i][j] * A[i][j], computed in row blocks.
-  // Per-block dispatch: the A^2 block comes from the dense GEMM, the
-  // CSR x dense saxpy, or the CSR x CSR stamp kernel, whichever the block's
-  // measured density makes cheapest; the A[i][j] mask is then applied as a
-  // dense dot, a CSR-indexed gather, or a sorted-merge intersection
-  // respectively.
+  // trace(A^3) = sum_{i,j} (A^2)[i][j] * A[i][j]: the heavy-product
+  // executor streams A^2 in row blocks (per-block kernel dispatch), and
+  // each A^2 row is intersected with the matching A row. The uniform plan
+  // delivers each row's entries in ascending column order, like the CSR
+  // rows, so the intersection is a sorted merge.
   if (heavy.size() >= 3) {
     TraceRecorder::Scope heavy_scope(trace_rec, "heavy", tparent);
     const size_t h = heavy.size();
@@ -186,83 +184,54 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
          4ull * h * h + 4ull * trace_workers * kTraceRowBlock * h +
                  csr_a.SizeBytes() <=
              options.max_matrix_bytes);
-    const std::vector<BlockKernelChoice> choices = PlanProductBlocks(
-        csr_a, csr_a, kTraceRowBlock, options.heavy_path, options.sparse_rates,
-        allow_dense, allow_csr_dense, &result.kernel_counts);
-    const bool any_dense = result.kernel_counts.dense > 0;
-    const bool any_float = any_dense || result.kernel_counts.csr_dense > 0;
 
-    Matrix a;
-    PackedB packed_a;
-    if (any_float) a = csr_a.ToDense(threads);
-    if (any_dense) packed_a = PackedB(a, threads);
-
-    std::vector<double> trace_partial(static_cast<size_t>(threads), 0.0);
-    std::vector<std::vector<float>> blocks(static_cast<size_t>(threads));
-    std::vector<CsrScratch> scratch(static_cast<size_t>(threads));
-    std::vector<SparseRowBlock> sparse_blocks(static_cast<size_t>(threads));
-    ParallelForDynamic(threads, choices.size(), /*grain=*/1,
-                       [&](size_t b0, size_t b1, int w) {
-      double local = 0.0;
-      for (size_t blk = b0; blk < b1; ++blk) {
-        if (cancel != nullptr && cancel->Fired()) {
-          skipped.fetch_add(b1 - blk, std::memory_order_relaxed);
-          break;  // keep the trace contribution of already-run blocks
-        }
-        const BlockKernelChoice& choice = choices[blk];
-        const size_t r0 = choice.row_begin;
-        const size_t r1 = choice.row_end;
-        if (choice.kernel == ProductKernel::kCsrCsr) {
-          auto& sblk = sparse_blocks[static_cast<size_t>(w)];
-          CsrCsrRowRange(csr_a, csr_a, r0, r1,
-                         &scratch[static_cast<size_t>(w)], &sblk);
-          for (size_t i = r0; i < r1; ++i) {
-            // Both column lists ascend; merge-intersect A^2 row with A row.
-            const auto pcols = sblk.RowCols(i - r0);
-            const auto pcounts = sblk.RowCounts(i - r0);
-            const auto acols = csr_a.Row(i);
-            size_t p = 0, q = 0;
-            while (p < pcols.size() && q < acols.size()) {
-              if (pcols[p] < acols[q]) {
-                ++p;
-              } else if (pcols[p] > acols[q]) {
-                ++q;
-              } else {
-                local += static_cast<double>(pcounts[p]);
-                ++p;
-                ++q;
-              }
+    HeavyKnobs knobs;
+    knobs.threads = threads;
+    knobs.row_block = kTraceRowBlock;
+    knobs.heavy_path = options.heavy_path;
+    knobs.sparse_rates = options.sparse_rates;
+    knobs.partition = PartitionMode::kOff;
+    knobs.max_matrix_bytes = options.max_matrix_bytes;
+    knobs.trace = trace_rec;
+    knobs.trace_parent = heavy_scope.id();
+    HeavyRecord record;
+    std::vector<uint64_t> trace_partial(static_cast<size_t>(threads), 0);
+    RunHeavyProduct(
+        HeavyProduct{.a = csr_a,
+                     .b = csr_a,
+                     .allow_dense = allow_dense,
+                     .allow_csr_dense = allow_csr_dense},
+        knobs,
+        [cancel] { return cancel != nullptr && cancel->Fired(); },
+        [&](int w, uint32_t i, std::span<const HeavyEntry> a2row) {
+          const auto arow = csr_a.Row(i);
+          uint64_t local = 0;
+          size_t p = 0, q = 0;
+          while (p < a2row.size() && q < arow.size()) {
+            if (a2row[p].col < arow[q]) {
+              ++p;
+            } else if (a2row[p].col > arow[q]) {
+              ++q;
+            } else {
+              local += a2row[p].count;
+              ++p;
+              ++q;
             }
           }
-          continue;
-        }
-        std::vector<float>& block = blocks[static_cast<size_t>(w)];
-        block.resize(kTraceRowBlock * h);
-        if (choice.kernel == ProductKernel::kDenseGemm) {
-          MultiplyRowRange(a, packed_a, r0, r1, block);
-        } else {
-          CsrDenseRowRange(csr_a, a, r0, r1, block);
-        }
-        for (size_t i = r0; i < r1; ++i) {
-          const float* a2row = block.data() + (i - r0) * h;
-          // Gather through the CSR row: only A's set cells contribute.
-          for (uint32_t j : csr_a.Row(i)) {
-            local += static_cast<double>(a2row[j]);
-          }
-        }
-      }
-      trace_partial[static_cast<size_t>(w)] += local;
-    });
-    double trace = 0.0;
-    for (double t : trace_partial) trace += t;
-    result.heavy_triangles = static_cast<uint64_t>(trace / 6.0 + 0.5);
+          trace_partial[static_cast<size_t>(w)] += local;
+        },
+        nullptr, &record);
+    uint64_t trace = 0;
+    for (uint64_t t : trace_partial) trace += t;
+    result.heavy_triangles = (trace + 3) / 6;
+    result.kernel_counts = record.kernel_counts;
+    result.blocks_skipped = record.heavy_blocks_skipped;
   }
 
   result.light_chunks_total =
       graph.num_x() == 0 ? 0 : (graph.num_x() + 511) / 512;
   result.light_chunks_executed = light_executed.load();
   result.light_chunks_skipped = light_skipped.load();
-  result.blocks_skipped = skipped.load();
   result.cancelled =
       result.light_chunks_skipped > 0 || result.blocks_skipped > 0;
   result.triangles = result.light_triangles + result.heavy_triangles;

@@ -1,6 +1,24 @@
 #include "core/two_path_internal.h"
 
+#include "common/metrics.h"
+
 namespace jpmm::internal {
+
+void RecordTwoPathMetrics(const MmJoinResult& result) {
+  if (MetricsEnabled()) {
+    MetricsRegistry& reg = MetricsRegistry::Global();
+    static Counter& light_executed =
+        reg.GetCounter("jpmm_join_light_chunks_executed_total");
+    static Counter& light_skipped =
+        reg.GetCounter("jpmm_join_light_chunks_skipped_total");
+    static Histogram& light_ms =
+        reg.GetHistogram("jpmm_join_light_pass_ms", DefaultLatencyBoundsMs());
+    light_executed.Add(result.light_chunks_executed);
+    light_skipped.Add(result.light_chunks_skipped);
+    light_ms.Record(result.light_seconds * 1e3);
+  }
+  RecordHeavyMetrics(result);
+}
 
 TwoPathContext::TwoPathContext(const IndexedRelation& r_in,
                                const IndexedRelation& s_in, Thresholds t)

@@ -20,6 +20,7 @@
 #include "common/stamp_set.h"
 #include "common/types.h"
 #include "core/density_partition.h"
+#include "core/mm_join.h"
 #include "storage/index.h"
 
 namespace jpmm::internal {
@@ -58,6 +59,11 @@ struct TwoPathContext {
   /// Number of class L1+L2 witnesses of head value a (cost instrumentation).
   uint64_t LightWitnessCount(Value a) const;
 };
+
+/// Adds one two-path execution (MMJoin or Non-MM) to the process-wide join
+/// metrics: the light-chunk counters, the light-pass histogram, and the
+/// heavy record (RecordHeavyMetrics).
+void RecordTwoPathMetrics(const MmJoinResult& result);
 
 }  // namespace jpmm::internal
 

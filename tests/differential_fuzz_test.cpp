@@ -667,27 +667,47 @@ TEST(DifferentialFuzz, StarCrossStrategyAgreement) {
     ref_opts.threads = 1;
     const auto ref = ToVectors(JoinProject::Star(rels, ref_opts).tuples);
 
+    // Every pinned kernel under both the uniform plan and the forced
+    // density grid: the star half of the heavy-product equivalence check.
     struct StarVariant {
       const char* name;
       Strategy strategy;
       PartitionMode partition;
+      HeavyPathMode heavy_path;
     };
     const StarVariant star_variants[] = {
-        {"star-mmjoin", Strategy::kMmJoin, PartitionMode::kOff},
-        {"star-mm-density", Strategy::kMmJoin, PartitionMode::kForce},
-        {"star-nonmm", Strategy::kNonMmJoin, PartitionMode::kOff},
+        {"star-mmjoin", Strategy::kMmJoin, PartitionMode::kOff,
+         HeavyPathMode::kAuto},
+        {"star-mm-density", Strategy::kMmJoin, PartitionMode::kForce,
+         HeavyPathMode::kAuto},
+        {"star-mm-dense", Strategy::kMmJoin, PartitionMode::kOff,
+         HeavyPathMode::kForceDense},
+        {"star-mm-dense", Strategy::kMmJoin, PartitionMode::kForce,
+         HeavyPathMode::kForceDense},
+        {"star-mm-csr-dense", Strategy::kMmJoin, PartitionMode::kOff,
+         HeavyPathMode::kForceCsrDense},
+        {"star-mm-csr-dense", Strategy::kMmJoin, PartitionMode::kForce,
+         HeavyPathMode::kForceCsrDense},
+        {"star-mm-csr-csr", Strategy::kMmJoin, PartitionMode::kOff,
+         HeavyPathMode::kForceCsrCsr},
+        {"star-mm-csr-csr", Strategy::kMmJoin, PartitionMode::kForce,
+         HeavyPathMode::kForceCsrCsr},
+        {"star-nonmm", Strategy::kNonMmJoin, PartitionMode::kOff,
+         HeavyPathMode::kAuto},
     };
     for (const StarVariant& sv : star_variants) {
       for (int t : ThreadCounts()) {
         JoinProjectOptions opts;
         opts.strategy = sv.strategy;
         opts.partition = sv.partition;
+        opts.heavy_path = sv.heavy_path;
         opts.threads = t;
         opts.thresholds = cfg.thresholds;
         const auto got = ToVectors(JoinProject::Star(rels, opts).tuples);
         if (got != ref) {
           const std::string line =
               cfg.ToString() + " variant=" + sv.name +
+              " partition=" + PartitionModeName(sv.partition) +
               " k=" + std::to_string(k) + " threads=" + std::to_string(t) +
               " got=" + std::to_string(got.size()) +
               " want=" + std::to_string(ref.size());

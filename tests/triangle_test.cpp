@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "core/cancel_token.h"
 #include "core/triangle.h"
 #include "datagen/generators.h"
 #include "tests/test_util.h"
@@ -82,10 +85,11 @@ TEST(Triangle, TriangleFreeBipartite) {
   EXPECT_EQ(CountTrianglesNodeIterator(gi), 0u);
 }
 
-class TriangleSweep : public ::testing::TestWithParam<uint64_t> {};
+class TriangleSweep
+    : public ::testing::TestWithParam<std::tuple<uint64_t, HeavyPathMode>> {};
 
 TEST_P(TriangleSweep, MatchesOracleAcrossThresholds) {
-  const uint64_t seed = GetParam();
+  const auto [seed, mode] = GetParam();
   BinaryRelation g = RandomGraph(40, 250, seed);
   IndexedRelation gi(g);
   const uint64_t expected = OracleTriangles(gi);
@@ -93,15 +97,53 @@ TEST_P(TriangleSweep, MatchesOracleAcrossThresholds) {
   for (uint64_t delta : {1ull, 3ull, 8ull, 1000ull}) {
     TriangleCountOptions opts;
     opts.delta = delta;
+    opts.heavy_path = mode;
     const auto res = CountTrianglesMm(gi, opts);
-    EXPECT_EQ(res.triangles, expected) << "seed=" << seed
-                                       << " delta=" << delta;
+    EXPECT_EQ(res.triangles, expected) << "seed=" << seed << " delta=" << delta
+                                       << " mode=" << HeavyPathModeName(mode);
     EXPECT_EQ(res.light_triangles + res.heavy_triangles, res.triangles);
+    // A forced mode pins the kernel of every trace block that ran.
+    const HeavyKernelCounts& kc = res.kernel_counts;
+    switch (mode) {
+      case HeavyPathMode::kForceDense:
+        EXPECT_EQ(kc.dense, kc.total());
+        break;
+      case HeavyPathMode::kForceCsrDense:
+        EXPECT_EQ(kc.csr_dense, kc.total());
+        break;
+      case HeavyPathMode::kForceCsrCsr:
+        EXPECT_EQ(kc.csr_csr, kc.total());
+        break;
+      case HeavyPathMode::kAuto:
+        break;
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, TriangleSweep,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, TriangleSweep,
+    ::testing::Combine(::testing::Range<uint64_t>(1, 9),
+                       ::testing::Values(HeavyPathMode::kAuto,
+                                         HeavyPathMode::kForceDense,
+                                         HeavyPathMode::kForceCsrDense,
+                                         HeavyPathMode::kForceCsrCsr)));
+
+// A token fired before the run skips every light chunk and every heavy
+// trace block, and the heavy skips are reported.
+TEST(Triangle, FiredTokenSkipsEveryHeavyBlock) {
+  BinaryRelation g = CommunityGraph(3, 20, 1.0, 5);
+  IndexedRelation gi(g);
+  CancelToken token;
+  token.RequestCancel();
+  TriangleCountOptions opts;
+  opts.delta = 1;  // every vertex heavy: one 60-row trace block
+  opts.cancel = &token;
+  const auto res = CountTrianglesMm(gi, opts);
+  EXPECT_TRUE(res.cancelled);
+  EXPECT_EQ(res.heavy_vertices, 60u);
+  EXPECT_EQ(res.blocks_skipped, 1u);
+  EXPECT_EQ(res.heavy_triangles, 0u);
+}
 
 TEST(Triangle, CommunityGraph) {
   BinaryRelation g = CommunityGraph(3, 20, 1.0, 5);
