@@ -356,12 +356,10 @@ void BM_SparseCsrCsr(benchmark::State& state) {
                          SparseRowBlock blk;
                          CsrCsrRowRange(a, b, r0, r1, &scratch, &blk);
                          for (size_t i = r0; i < r1; ++i) {
-                           const auto cols = blk.RowCols(i - r0);
-                           const auto counts = blk.RowCounts(i - r0);
                            float* row = out.data() + (i - r0) * dim;
                            std::fill(row, row + dim, 0.0f);
-                           for (size_t e = 0; e < cols.size(); ++e) {
-                             row[cols[e]] = static_cast<float>(counts[e]);
+                           for (const HeavyEntry& e : blk.Row(i - r0)) {
+                             row[e.col] = static_cast<float>(e.count);
                            }
                          }
                        });

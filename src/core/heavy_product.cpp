@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/check.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -56,7 +57,7 @@ uint64_t GridExtraBytes(const CsrMatrix& a, const CsrMatrix& b,
   return extra;
 }
 
-// Appends the non-zeros of one kernel output row, mapping band-local
+// Appends the non-zeros of one float kernel output row, mapping band-local
 // columns through `colmap` (null = no column remap).
 void GatherFloatRow(const float* row, size_t width, const uint32_t* colmap,
                     std::vector<HeavyEntry>* out) {
@@ -70,12 +71,14 @@ void GatherFloatRow(const float* row, size_t width, const uint32_t* colmap,
   }
 }
 
-void GatherSparseRow(std::span<const uint32_t> cols,
-                     std::span<const uint32_t> counts, const uint32_t* colmap,
+// Appends one CSR x CSR row, mapping its band-local columns through
+// `colmap`. Without a column remap the row needs no gather: it is handed
+// over in place.
+void GatherSparseRow(std::span<const HeavyEntry> row, const uint32_t* colmap,
                      std::vector<HeavyEntry>* out) {
-  for (size_t e = 0; e < cols.size(); ++e) {
-    out->push_back(
-        HeavyEntry{colmap != nullptr ? colmap[cols[e]] : cols[e], counts[e]});
+  JPMM_DCHECK(colmap != nullptr);
+  for (const HeavyEntry& e : row) {
+    out->push_back(HeavyEntry{colmap[e.col], e.count});
   }
 }
 
@@ -286,7 +289,9 @@ void RunHeavyProduct(const HeavyProduct& product, const HeavyKnobs& knobs,
   // output skew, not just the flops. Every block of the chunk's row band
   // runs first (the block:<kernel> spans hold kernel time only); then each
   // row's entries are gathered across the blocks, mapped back to original
-  // ids, and handed to on_row.
+  // ids, and handed to on_row. A row band that runs one CSR x CSR block
+  // over one column band already holds original column ids in the
+  // kernel's HeavyEntry layout, so its rows go to on_row in place.
   std::vector<Worker> workers(static_cast<size_t>(threads));
   std::atomic<uint64_t> executed{0};
   std::atomic<uint64_t> skipped{0};
@@ -327,25 +332,31 @@ void RunHeavyProduct(const HeavyProduct& product, const HeavyKnobs& knobs,
             }
           }
           TraceRecorder::Scope emit_scope(trace, "emit-inverse-remap", parent);
+          // One column band means at most one block per row band.
+          const bool in_place = !remap_cols && run.size() == 1 &&
+                                run[0].first->kernel == ProductKernel::kCsrCsr;
           for (size_t li = 0; li < nrows; ++li) {
+            const size_t row = r0 + li;
+            const uint32_t orig_row =
+                remap_rows ? g.row_perm[row] : static_cast<uint32_t>(row);
+            if (in_place) {
+              on_row(w, orig_row, ws.sparse[0].Row(li));
+              continue;
+            }
             ws.entries.clear();
             for (size_t k = 0; k < run.size(); ++k) {
               const BlockKernelChoice& blk = *run[k].first;
               const uint32_t* colmap =
                   remap_cols ? g.col_perm.data() + blk.col_begin : nullptr;
               if (blk.kernel == ProductKernel::kCsrCsr) {
-                GatherSparseRow(ws.sparse[k].RowCols(li),
-                                ws.sparse[k].RowCounts(li), colmap,
-                                &ws.entries);
+                GatherSparseRow(ws.sparse[k].Row(li), colmap, &ws.entries);
               } else {
                 const size_t width = blk.col_end - blk.col_begin;
                 GatherFloatRow(ws.floats[k].data() + li * width, width, colmap,
                                &ws.entries);
               }
             }
-            const size_t row = r0 + li;
-            on_row(w, remap_rows ? g.row_perm[row] : static_cast<uint32_t>(row),
-                   ws.entries);
+            on_row(w, orig_row, ws.entries);
           }
           if (on_chunk_end) on_chunk_end(w);
         }

@@ -139,12 +139,6 @@ struct HeavyRecord {
 /// kernel counters, partition counters, the heavy-pass histogram).
 void RecordHeavyMetrics(const HeavyRecord& record);
 
-/// One non-zero of a product row: original output column, witness count.
-struct HeavyEntry {
-  uint32_t col;
-  uint32_t count;
-};
-
 /// The operands of one product and the caller's representation gates.
 struct HeavyProduct {
   const CsrMatrix& a;  // rows x inner
@@ -165,10 +159,13 @@ struct HeavyProduct {
 };
 
 /// Receives one output row: the worker, the original row id, and the row's
-/// non-zeros as (original column id, count), each column at most once.
-/// The entries ascend by column when the plan has one column band and no
-/// column remap (always on the uniform plan). Called for every row of every
-/// executed chunk, also when the row has no entries.
+/// non-zeros as HeavyEntry (original column id, count), each column at most
+/// once. Entries from a float-kernel block (dense, CSR x dense) ascend by
+/// column when the plan has one column band (always on the uniform plan);
+/// entries from a CSR x CSR block come in first-touch order (see
+/// SparseRowBlock) and are handed over in place, without a copy, when the
+/// chunk runs that one block over one column band. Called for every row of
+/// every executed chunk, also when the row has no entries.
 using HeavyRowFn =
     std::function<void(int worker, uint32_t row, std::span<const HeavyEntry>)>;
 

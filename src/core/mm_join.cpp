@@ -59,8 +59,9 @@ class TwoPathRunner {
     ctx_.AccumulateLightToVector(a, &ws->witness_buf);
     std::sort(ws->witness_buf.begin(), ws->witness_buf.end());
     // The merge below needs z-ascending entries. Heavy ids ascend with
-    // their values, so one column band delivers them sorted; a density grid
-    // interleaves its bands.
+    // their values, so a float-kernel block over one column band delivers
+    // them sorted; CSR x CSR rows come in first-touch order, and a density
+    // grid interleaves its bands.
     auto by_col = [](const HeavyEntry& l, const HeavyEntry& r) {
       return l.col < r.col;
     };

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 
+#include "common/bitset.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "core/cancel_token.h"
@@ -88,7 +89,10 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
     // Per-worker float product-block buffers, paid by the dense and
     // CSR x dense kernels alike.
     const uint64_t acc = 4ull * block_workers * kTraceRowBlock * h;
-    const uint64_t csr_bytes = CsrBytes(h, nnz) + 12ull * block_workers * h;
+    // Per worker: the CSR x CSR stamp counter and touched list (12 bytes
+    // per column) and the trace probe's bitmap.
+    const uint64_t csr_bytes =
+        CsrBytes(h, nnz) + block_workers * (12ull * h + (h + 63) / 64 * 8);
     const uint64_t dense_bytes =
         4ull * h * h + PackedBBytes(h, h) + acc + csr_bytes;
     switch (options.heavy_path) {
@@ -158,9 +162,11 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
   // Heavy part: trace(A_H^3) / 6. A_H is symmetric, so
   // trace(A^3) = sum_{i,j} (A^2)[i][j] * A[i][j]: the heavy-product
   // executor streams A^2 in row blocks (per-block kernel dispatch), and
-  // each A^2 row is intersected with the matching A row. The uniform plan
-  // delivers each row's entries in ascending column order, like the CSR
-  // rows, so the intersection is a sorted merge.
+  // each A^2 row is intersected with the matching A row by a bitmap probe:
+  // mark the A row's columns in the worker's bitmap, sum the counts of the
+  // A^2 entries whose bit is set, clear the marks. O(|A row| + |A^2 row|)
+  // and independent of entry order (CSR x CSR rows come in first-touch
+  // order, not ascending).
   if (heavy.size() >= 3) {
     TraceRecorder::Scope heavy_scope(trace_rec, "heavy", tparent);
     const size_t h = heavy.size();
@@ -196,6 +202,9 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
     knobs.trace_parent = heavy_scope.id();
     HeavyRecord record;
     std::vector<uint64_t> trace_partial(static_cast<size_t>(threads), 0);
+    // Per-worker probe bitmaps over the heavy ids, all clear between rows;
+    // sized on the worker's first row.
+    std::vector<DynamicBitset> marks(static_cast<size_t>(threads));
     RunHeavyProduct(
         HeavyProduct{.a = csr_a,
                      .b = csr_a,
@@ -204,20 +213,15 @@ TriangleCountResult CountTrianglesMm(const IndexedRelation& graph,
         knobs,
         [cancel] { return cancel != nullptr && cancel->Fired(); },
         [&](int w, uint32_t i, std::span<const HeavyEntry> a2row) {
+          DynamicBitset& mark = marks[static_cast<size_t>(w)];
+          if (mark.size() == 0) mark = DynamicBitset(h);
           const auto arow = csr_a.Row(i);
+          for (uint32_t c : arow) mark.Set(c);
           uint64_t local = 0;
-          size_t p = 0, q = 0;
-          while (p < a2row.size() && q < arow.size()) {
-            if (a2row[p].col < arow[q]) {
-              ++p;
-            } else if (a2row[p].col > arow[q]) {
-              ++q;
-            } else {
-              local += a2row[p].count;
-              ++p;
-              ++q;
-            }
+          for (const HeavyEntry& e : a2row) {
+            if (mark.Test(e.col)) local += e.count;
           }
+          for (uint32_t c : arow) mark.Clear(c);
           trace_partial[static_cast<size_t>(w)] += local;
         },
         nullptr, &record);

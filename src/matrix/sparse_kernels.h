@@ -13,9 +13,11 @@
 // vector scatter so they observe the updated counts). Fresh columns are
 // appended to `touched` with a masked compress-store.
 //
-// Exactness: counts are integer adds (commutative, exact in any order) and
-// the fresh-column SET is order-independent; CsrCsrRowRange sorts `touched`
-// before emitting, so every level produces byte-identical SparseRowBlocks.
+// Exactness: counts are integer adds (commutative, exact in any order), and
+// every level appends fresh columns in first-occurrence order: the vector
+// path's duplicate lanes are never fresh, and the compress-store keeps the
+// fresh lanes in lane order. CsrCsrRowRange emits `touched` as it stands,
+// so every level produces byte-identical SparseRowBlocks, order included.
 
 #ifndef JPMM_MATRIX_SPARSE_KERNELS_H_
 #define JPMM_MATRIX_SPARSE_KERNELS_H_
@@ -31,7 +33,8 @@ namespace jpmm {
 namespace internal {
 
 /// Adds 1 to counter[js[p]] for p in [0, n), appending each column that was
-/// fresh this epoch to *touched (append-only; existing contents are kept).
+/// fresh this epoch to *touched in order of its first occurrence in js
+/// (append-only; existing contents are kept).
 /// The counter's universe must already cover every index in js.
 using ExpandRowFn = void (*)(const uint32_t* js, size_t n,
                              StampCounter* counter,

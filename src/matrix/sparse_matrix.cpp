@@ -169,14 +169,12 @@ void CsrCsrRowRange(const CsrMatrix& a, const CsrMatrix& b, size_t r0,
       const auto brow = b.Row(k);
       expand(brow.data(), brow.size(), &scratch->counter, &scratch->touched);
     }
-    // Ascending columns: the sort-merge emit path and the triangle trace
-    // intersection both rely on it.
-    std::sort(scratch->touched.begin(), scratch->touched.end());
+    // Every touched column is live this epoch, so its count is read raw.
+    const uint32_t* counts = scratch->counter.raw_counts();
     for (uint32_t j : scratch->touched) {
-      out->cols.push_back(j);
-      out->counts.push_back(scratch->counter.Get(j));
+      out->entries.push_back(HeavyEntry{j, counts[j]});
     }
-    out->offsets.push_back(out->cols.size());
+    out->offsets.push_back(out->entries.size());
   }
 }
 
@@ -191,11 +189,9 @@ Matrix CsrCsrProduct(const CsrMatrix& a, const CsrMatrix& b, int threads) {
                        auto& blk = blocks[static_cast<size_t>(w)];
                        CsrCsrRowRange(a, b, i0, i1, &sc, &blk);
                        for (size_t i = i0; i < i1; ++i) {
-                         const auto cols = blk.RowCols(i - i0);
-                         const auto counts = blk.RowCounts(i - i0);
                          auto out = c.MutableRow(i);
-                         for (size_t e = 0; e < cols.size(); ++e) {
-                           out[cols[e]] = static_cast<float>(counts[e]);
+                         for (const HeavyEntry& e : blk.Row(i - i0)) {
+                           out[e.col] = static_cast<float>(e.count);
                          }
                        }
                      });

@@ -136,26 +136,33 @@ struct CsrScratch {
   AlignedVector<uint32_t> touched;
 };
 
+/// One non-zero of a counting-product row: column id and count. The
+/// CSR x CSR kernel writes its output rows in this layout, and the
+/// heavy-product executor (core/heavy_product.h) hands rows to its callers
+/// in it, so a kernel row can reach the caller without a copy.
+struct HeavyEntry {
+  uint32_t col;
+  uint32_t count;
+};
+
 /// Sparse output rows of one product block: row r0 + i owns
-/// cols/counts[offsets[i], offsets[i+1]), columns ascending. The joins emit
-/// straight from this — no O(W) dense scan per output row in the
-/// ultra-sparse regime.
+/// entries[offsets[i], offsets[i+1]), each column once, in first-touch
+/// order — the order the row's A entries (in CSR order) first reach each
+/// column through their B rows (in CSR order). Not ascending: no consumer
+/// needs sorted columns, and sorting every row cost more than expanding
+/// it. The joins emit straight from this — no O(W) dense scan per output
+/// row in the ultra-sparse regime.
 struct SparseRowBlock {
-  std::vector<size_t> offsets;   // size (#rows) + 1
-  std::vector<uint32_t> cols;
-  std::vector<uint32_t> counts;
+  std::vector<size_t> offsets;  // size (#rows) + 1
+  std::vector<HeavyEntry> entries;
 
   void Clear() {
     offsets.clear();
-    cols.clear();
-    counts.clear();
+    entries.clear();
   }
   size_t num_rows() const { return offsets.empty() ? 0 : offsets.size() - 1; }
-  std::span<const uint32_t> RowCols(size_t i) const {
-    return {cols.data() + offsets[i], offsets[i + 1] - offsets[i]};
-  }
-  std::span<const uint32_t> RowCounts(size_t i) const {
-    return {counts.data() + offsets[i], offsets[i + 1] - offsets[i]};
+  std::span<const HeavyEntry> Row(size_t i) const {
+    return {entries.data() + offsets[i], offsets[i + 1] - offsets[i]};
   }
 };
 
@@ -170,8 +177,9 @@ void CsrDenseRowRange(const CsrMatrix& a, const Matrix& b, size_t r0,
 Matrix CsrDenseProduct(const CsrMatrix& a, const Matrix& b, int threads = 1);
 
 /// Rows [r0, r1) of A * B with both operands CSR: expand each A entry's
-/// B row into the stamp counter, then emit the touched columns in ascending
-/// order into out. Counts are exact uint32.
+/// B row into the stamp counter, then emit the touched columns in
+/// first-touch order (see SparseRowBlock) into out. Counts are exact
+/// uint32, and the output is byte-identical at every KernelIsa level.
 void CsrCsrRowRange(const CsrMatrix& a, const CsrMatrix& b, size_t r0,
                     size_t r1, CsrScratch* scratch, SparseRowBlock* out);
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -201,6 +202,59 @@ TEST(MmJoin, SortDedupMatchesStampDedup) {
   stamp.count_witnesses = sortd.count_witnesses = true;
   EXPECT_EQ(Sorted(MmJoinTwoPath(ri, ri, stamp).counted),
             Sorted(MmJoinTwoPath(ri, ri, sortd).counted));
+}
+
+// Dense two-path output under forced CSR x CSR: nearly every column of
+// every product row is set, and the kernel's rows come in first-touch
+// order, so the sort-merge dedup has to order them itself before merging
+// them with the light witnesses (delta1 = 60 leaves some y values light,
+// so a pair can have witnesses on both sides). Both dedups must equal the
+// dense-GEMM result, on the uniform plan (rows handed over in place) and
+// on a forced density grid (rows gathered across bands).
+TEST(MmJoin, ForcedCsrCsrDenseOutputMatchesAcrossDedupAndKernels) {
+  BinaryRelation r = RandomRelation(150, 40, 3000, 0.3, 46);
+  IndexedRelation ri(r);
+  for (PartitionMode partition : {PartitionMode::kOff, PartitionMode::kForce}) {
+    for (int threads : {1, 3}) {
+      for (bool counted : {false, true}) {
+        MmJoinOptions dense;
+        dense.thresholds = {60, 2};
+        dense.threads = threads;
+        dense.row_block = 64;
+        dense.partition = partition;
+        dense.count_witnesses = counted;
+        dense.heavy_path = HeavyPathMode::kForceDense;
+        MmJoinOptions stamp = dense;
+        stamp.heavy_path = HeavyPathMode::kForceCsrCsr;
+        MmJoinOptions sortd = stamp;
+        sortd.dedup = DedupImpl::kSortLocal;
+        const MmJoinResult want = MmJoinTwoPath(ri, ri, dense);
+        const MmJoinResult got_stamp = MmJoinTwoPath(ri, ri, stamp);
+        const MmJoinResult got_sort = MmJoinTwoPath(ri, ri, sortd);
+        const std::string where = std::string(PartitionModeName(partition)) +
+                                  " threads=" + std::to_string(threads) +
+                                  " counted=" + std::to_string(counted);
+        // Dense output: most of the 150 x 150 pairs are present.
+        ASSERT_GT(want.size(), 150u * 150u * 3 / 4) << where;
+        EXPECT_GT(got_stamp.kernel_counts.csr_csr, 0u) << where;
+        EXPECT_EQ(got_stamp.kernel_counts.csr_csr,
+                  got_stamp.kernel_counts.total())
+            << where;
+        EXPECT_EQ(got_sort.kernel_counts.csr_csr,
+                  got_sort.kernel_counts.total())
+            << where;
+        if (counted) {
+          const auto ref = Sorted(want.counted);
+          EXPECT_EQ(Sorted(got_stamp.counted), ref) << where;
+          EXPECT_EQ(Sorted(got_sort.counted), ref) << where;
+        } else {
+          const auto ref = Sorted(want.pairs);
+          EXPECT_EQ(Sorted(got_stamp.pairs), ref) << where;
+          EXPECT_EQ(Sorted(got_sort.pairs), ref) << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(MmJoin, SmallRowBlocksMatch) {

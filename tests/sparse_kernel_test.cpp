@@ -145,12 +145,31 @@ TEST(SparseKernels, RowRangeBlocksComposeToFullProduct) {
     }
     CsrCsrRowRange(a, b, r0, r1, &scratch, &blk);
     for (size_t i = r0; i < r1; ++i) {
-      const auto cols = blk.RowCols(i - r0);
-      const auto counts = blk.RowCounts(i - r0);
-      ASSERT_TRUE(std::is_sorted(cols.begin(), cols.end()));
+      const auto entries = blk.Row(i - r0);
+      std::vector<uint32_t> cols;
+      for (const HeavyEntry& e : entries) cols.push_back(e.col);
+      // Each column once...
+      std::vector<uint32_t> distinct = cols;
+      std::sort(distinct.begin(), distinct.end());
+      ASSERT_EQ(std::adjacent_find(distinct.begin(), distinct.end()),
+                distinct.end())
+          << "row " << i;
+      // ...in first-touch order: A's row entries in CSR order, each B row
+      // in CSR order, a column's first occurrence kept.
+      std::vector<uint32_t> first_touch;
+      std::vector<bool> seen(b.cols(), false);
+      for (uint32_t k : a.Row(i)) {
+        for (uint32_t j : b.Row(k)) {
+          if (!seen[j]) {
+            seen[j] = true;
+            first_touch.push_back(j);
+          }
+        }
+      }
+      ASSERT_EQ(cols, first_touch) << "row " << i;
       std::vector<float> row(bd.cols(), 0.0f);
-      for (size_t e = 0; e < cols.size(); ++e) {
-        row[cols[e]] = static_cast<float>(counts[e]);
+      for (const HeavyEntry& e : entries) {
+        row[e.col] = static_cast<float>(e.count);
       }
       for (size_t j = 0; j < bd.cols(); ++j) {
         ASSERT_EQ(row[j], want.At(i, j));

@@ -145,6 +145,27 @@ TEST(Triangle, FiredTokenSkipsEveryHeavyBlock) {
   EXPECT_EQ(res.heavy_triangles, 0u);
 }
 
+// Forced CSR x CSR on a graph whose A_H^2 rows touch nearly every heavy
+// vertex: the kernel's rows come in first-touch order, far from ascending,
+// so the trace probe must not depend on entry order.
+TEST(Triangle, ForcedCsrCsrWithDenseSquareMatchesNodeIterator) {
+  BinaryRelation g = RandomGraph(300, 6000, 17);
+  IndexedRelation gi(g);
+  const uint64_t expected = CountTrianglesNodeIterator(gi);
+  ASSERT_GT(expected, 0u);
+  for (int threads : {1, 3}) {
+    TriangleCountOptions opts;
+    opts.delta = 1;  // every vertex with an edge is heavy
+    opts.threads = threads;
+    opts.heavy_path = HeavyPathMode::kForceCsrCsr;
+    const auto res = CountTrianglesMm(gi, opts);
+    EXPECT_EQ(res.triangles, expected) << "threads=" << threads;
+    EXPECT_EQ(res.light_triangles, 0u);
+    EXPECT_GT(res.kernel_counts.csr_csr, 0u);
+    EXPECT_EQ(res.kernel_counts.csr_csr, res.kernel_counts.total());
+  }
+}
+
 TEST(Triangle, CommunityGraph) {
   BinaryRelation g = CommunityGraph(3, 20, 1.0, 5);
   IndexedRelation gi(g);
